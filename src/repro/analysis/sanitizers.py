@@ -49,12 +49,18 @@ class ResourceLeakError(AssertionError):
     """A tracked resource still held acquisitions at teardown."""
 
 
+#: ``(t, eid)`` of one event, in :class:`TraceDigest`'s byte format.
+_EVENT_PREFIX = struct.Struct("<dQ")
+
+
 class TraceDigest:
     """A streaming SHA-256 digest over dispatched events.
 
     Install it as an environment tracer; each dispatched event folds
-    ``(t, eid, kind)`` into the digest. ``keep`` retains the first N raw
-    events so a mismatch can be localized, without storing whole traces.
+    ``(t, eid, kind)`` into the digest as the bytes ``pack("<d", t) +
+    pack("<Q", eid) + kind.encode()`` (UTF-8), with no separators. ``keep``
+    retains the first N raw events so a mismatch can be localized, without
+    storing whole traces.
     """
 
     def __init__(self, keep: int = 64):
@@ -64,9 +70,7 @@ class TraceDigest:
         self.head: list[tuple[float, int, str]] = []
 
     def __call__(self, t: float, eid: int, kind: str) -> None:
-        self._hash.update(struct.pack("<d", t))
-        self._hash.update(eid.to_bytes(8, "little", signed=False))
-        self._hash.update(kind.encode())
+        self._hash.update(_EVENT_PREFIX.pack(t, eid) + kind.encode())
         if self.events < self.keep:
             self.head.append((t, eid, kind))
         self.events += 1

@@ -124,8 +124,6 @@ class NetworkPartitionModel:
         self.name = name
         self.splits = 0
         self.heals = 0
-        #: Messages this model refused (incremented via :meth:`blocks`).
-        self.blocked = 0
         if self.episodes:
             env.process(self._timeline())
 
@@ -173,12 +171,11 @@ class NetworkPartitionModel:
     # -- Network model protocol --------------------------------------------
     def blocks(self, src: str, dst: str) -> bool:
         now = self.env.now
+        src_group = self._group_of.get(str(src))
+        dst_group = self._group_of.get(str(dst))
         for episode in self.episodes:
             group = episode.isolate
-            src_inside = self._group_of.get(str(src)) == group
-            dst_inside = self._group_of.get(str(dst)) == group
-            if episode.severs(now, src_inside, dst_inside):
-                self.blocked += 1
+            if episode.severs(now, src_group == group, dst_group == group):
                 return True
         return False
 
@@ -307,8 +304,14 @@ class GrayFailureModel:
         node = str(node)
         if node in self._degraded:
             return True
+        spans = self.episodes.get(node)
+        if not spans:
+            return False
         now = self.env.now
-        return any(a <= now < b for a, b in self.episodes.get(node, ()))
+        for a, b in spans:
+            if a <= now < b:
+                return True
+        return False
 
     def gray_nodes(self) -> list[str]:
         """Currently gray nodes: scheduled ones first, then manual."""

@@ -23,6 +23,7 @@ the harness (:mod:`repro.faults.chaos`), which knows when it crashed what.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from collections import deque
 from typing import Any, Callable, Optional
 
@@ -174,6 +175,12 @@ class PhiAccrualDetector:
         self._last: dict[Any, float] = {}
         #: Real (non-primed) heartbeats observed per key.
         self._observed: dict[Any, int] = {}
+        #: Cached :meth:`_window_stats` per key. Only :meth:`heartbeat`
+        #: changes a window or an observed count, so it drops the entry.
+        self._stats: dict[Any, tuple[float, float]] = {}
+        #: Registered keys sorted by ``str`` (ties in registration order):
+        #: the order :meth:`_poll` evaluates them in.
+        self._poll_order: list[Any] = []
         #: Onset time of each currently-standing suspicion.
         self._suspected_at: dict[Any, float] = {}
         #: Reason tag of each currently-standing suspicion.
@@ -202,6 +209,7 @@ class PhiAccrualDetector:
                                          maxlen=self.window)
             self._last[key] = self.env.now
             self._observed[key] = 0
+            insort(self._poll_order, key, key=str)
 
     def heartbeat(self, key: Any) -> None:
         """One heartbeat from ``key`` arrived now."""
@@ -212,6 +220,7 @@ class PhiAccrualDetector:
         self._intervals[key].append(now - self._last[key])
         self._last[key] = now
         self._observed[key] = self._observed.get(key, 0) + 1
+        self._stats.pop(key, None)
         onset = self._suspected_at.pop(key, None)
         self._suspect_reasons.pop(key, None)
         if onset is not None:
@@ -232,6 +241,9 @@ class PhiAccrualDetector:
         ``min_samples``, so it delays early suspicion without ever
         preventing it.
         """
+        stats = self._stats.get(key)
+        if stats is not None:
+            return stats
         samples = self._intervals[key]
         mean = sum(samples) / len(samples)
         if len(samples) > 1:
@@ -243,7 +255,8 @@ class PhiAccrualDetector:
         if observed < self.min_samples:
             decay = (self.min_samples - observed) / self.min_samples
             std = max(std, self.PRIME_STD_FACTOR * mean * decay)
-        return mean, std
+        stats = self._stats[key] = (mean, std)
+        return stats
 
     def phi(self, key: Any) -> float:
         """Current suspicion level of ``key`` (0 = just heard from it)."""
@@ -313,5 +326,5 @@ class PhiAccrualDetector:
     def _poll(self, interval_s: float):
         while True:
             yield self.env.timeout(interval_s)
-            for key in sorted(self._intervals, key=str):
+            for key in self._poll_order:
                 self.is_suspect(key)

@@ -53,9 +53,9 @@ class Network:
     """
 
     # Every simulated message crosses this object; keep it dict-free.
-    __slots__ = ("env", "monitor", "default_latency_s", "_nodes", "_models",
-                 "sent", "delivered", "blocked", "dropped", "in_flight",
-                 "by_kind")
+    __slots__ = ("env", "monitor", "default_latency_s", "_nodes", "_blocks",
+                 "_drops", "_latencies", "sent", "delivered", "blocked",
+                 "dropped", "in_flight", "by_kind")
 
     def __init__(self, env: Environment, monitor: Optional[Monitor] = None,
                  default_latency_s: float = 0.0):
@@ -65,7 +65,11 @@ class Network:
         self.monitor = monitor
         self.default_latency_s = default_latency_s
         self._nodes: dict[str, None] = {}  # insertion-ordered set
-        self._models: list[Any] = []
+        #: Each attached model's protocol hooks, bound once by
+        #: :meth:`attach`, in attach order.
+        self._blocks: list[Callable[[str, str], bool]] = []
+        self._drops: list[Callable[[str, str, str], bool]] = []
+        self._latencies: list[Callable[[str, str], float]] = []
         #: Conservation ledger (``sent == delivered + blocked + dropped
         #: + in_flight`` at every instant).
         self.sent = 0
@@ -95,8 +99,16 @@ class Network:
         return list(self._nodes)
 
     def attach(self, model: Any) -> Any:
-        """Attach a fault model (evaluated in attach order); returns it."""
-        self._models.append(model)
+        """Attach a fault model (evaluated in attach order); returns it.
+
+        The model's hooks are looked up here, once: a hook added to or
+        replaced on the model after it is attached is not seen.
+        """
+        for hooks, name in ((self._blocks, "blocks"), (self._drops, "drops"),
+                            (self._latencies, "extra_latency_s")):
+            hook = getattr(model, name, None)
+            if hook is not None:
+                hooks.append(hook)
         return model
 
     # -- verdicts ----------------------------------------------------------
@@ -110,24 +122,23 @@ class Network:
         """Whether a message from ``src`` to ``dst`` would not be blocked."""
         self._require(src)
         self._require(dst)
-        for model in self._models:
-            blocks = getattr(model, "blocks", None)
-            if blocks is not None and blocks(src, dst):
+        for blocks in self._blocks:
+            if blocks(src, dst):
                 return False
         return True
 
     def latency_s(self, src: str, dst: str) -> float:
         """One-way delay ``src`` -> ``dst`` under the attached models."""
         total = self.default_latency_s
-        for model in self._models:
-            extra = getattr(model, "extra_latency_s", None)
-            if extra is not None:
-                total += float(extra(src, dst))
+        for extra in self._latencies:
+            total += float(extra(src, dst))
         return total
 
     def _book(self, outcome: str, kind: str) -> None:
-        per_kind = self.by_kind.setdefault(
-            kind, {"sent": 0, DELIVERED: 0, BLOCKED: 0, DROPPED: 0})
+        per_kind = self.by_kind.get(kind)
+        if per_kind is None:
+            per_kind = self.by_kind[kind] = {
+                "sent": 0, DELIVERED: 0, BLOCKED: 0, DROPPED: 0}
         per_kind[outcome] += 1
         if self.monitor is not None:
             self.monitor.count(outcome, key=kind)
@@ -151,28 +162,25 @@ class Network:
         if dst not in nodes:
             self._require(dst)
         self.sent += 1
-        # Hot path: walk the attached models once, pre-bound, instead of
-        # re-walking via allows()/latency_s() (each re-reads self._models).
-        models = self._models
         book = self._book
         book("sent", kind)
-        for model in models:
-            blocks = getattr(model, "blocks", None)
-            if blocks is not None and blocks(src, dst):
+        # SL009: each loop walks a local, not a self.<attr> load.
+        blockers = self._blocks
+        for blocks in blockers:
+            if blocks(src, dst):
                 self.blocked += 1
                 book(BLOCKED, kind)
                 return BLOCKED
-        for model in models:
-            drops = getattr(model, "drops", None)
-            if drops is not None and drops(src, dst, kind):
+        droppers = self._drops
+        for drops in droppers:
+            if drops(src, dst, kind):
                 self.dropped += 1
                 book(DROPPED, kind)
                 return DROPPED
         delay = self.default_latency_s
-        for model in models:
-            extra = getattr(model, "extra_latency_s", None)
-            if extra is not None:
-                delay += float(extra(src, dst))
+        latencies = self._latencies
+        for extra in latencies:
+            delay += float(extra(src, dst))
         if delay <= 0:
             self.delivered += 1
             self._book(DELIVERED, kind)

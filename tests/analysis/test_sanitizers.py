@@ -1,5 +1,8 @@
 """Runtime sanitizers: determinism, resource leaks, and kernel debug mode."""
 
+import hashlib
+import struct
+
 import pytest
 
 from repro.analysis.sanitizers import (
@@ -88,6 +91,25 @@ def test_trace_digest_keeps_bounded_head():
         digest(float(i), i, "Timeout")
     assert digest.events == 10
     assert len(digest.head) == 3
+
+
+def test_trace_digest_byte_format_is_pinned():
+    # Every committed golden and campaign digest depends on these bytes:
+    # per event, t as "<d", then eid as "<Q", then the UTF-8 kind.
+    events = [(0.0, 0, "Timeout"), (1.5, 1, "Process"),
+              (3.25e9, 2**32, "Initialize"), (1e300, 2**64 - 1, "Timeout"),
+              (7.0, 2**32 + 5, "Événement")]
+    expected = hashlib.sha256()
+    for t, eid, kind in events:
+        expected.update(struct.pack("<d", t))
+        expected.update(struct.pack("<Q", eid))
+        expected.update(kind.encode("utf-8"))
+    digest = TraceDigest()
+    for event in events:
+        digest(*event)
+    assert digest.hexdigest() == expected.hexdigest()
+    assert digest.events == len(events)
+    assert digest.head == events
 
 
 # -- resource-leak sanitizer -----------------------------------------------

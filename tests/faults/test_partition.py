@@ -71,6 +71,26 @@ class TestNetworkPartitionModel:
         env.run(until=25.0)
         assert net.allows("s", "w2")        # healed
 
+    def test_allows_during_a_cut_changes_no_counter(self):
+        # blocks() is a pure function of sim time: asking whether a
+        # message would pass must not book it as refused traffic.
+        env = Environment()
+        net, model = make_partitioned(
+            env, [PartitionEpisode(0.0, 10.0, "minority")])
+        env.run(until=5.0)
+
+        def ledger():
+            return (net.sent, net.delivered, net.blocked, net.dropped,
+                    net.in_flight, {k: dict(v) for k, v in net.by_kind.items()})
+
+        before_net, before_model = ledger(), dict(vars(model))
+        assert not net.allows("s", "w2")
+        assert not net.allows("s", "w2")
+        assert net.allows("s", "w1")
+        assert ledger() == before_net
+        assert vars(model) == before_model
+        assert net.sent == 0
+
     def test_one_way_partition_is_asymmetric(self):
         env = Environment()
         net, _ = make_partitioned(
@@ -141,6 +161,19 @@ class TestGrayFailureModel:
         assert gray.gray_nodes() == ["n1"]
         env.run(until=20.0)
         assert not gray.is_gray("n1")
+
+    def test_is_gray_over_several_half_open_spans(self):
+        env, gray = self.make(episodes={"n1": [(2.0, 4.0), (6.0, 8.0)],
+                                        "n2": []})
+        verdicts = []
+        for t in (0.0, 2.0, 3.9, 4.0, 5.0, 6.0, 7.9, 8.0, 9.0):
+            if t > env.now:
+                env.run(until=t)
+            verdicts.append((gray.is_gray("n1"), gray.is_gray("n2"),
+                             gray.is_gray("n3")))
+        assert [v[0] for v in verdicts] == [False, True, True, False, False,
+                                            True, True, False, False]
+        assert not any(v[1] or v[2] for v in verdicts)
 
     def test_manual_degrade_restore(self):
         _, gray = self.make()

@@ -1,5 +1,7 @@
 """Heartbeats and phi-accrual failure detection."""
 
+import math
+
 import pytest
 
 from repro.resilience import PHI_MAX, HeartbeatEmitter, PhiAccrualDetector
@@ -79,6 +81,24 @@ def test_poll_records_onset_without_queries():
     env.run(until=60.0)
     # Nobody ever called is_suspect; the poller recorded the onset.
     assert det.suspected_at("a") is not None
+
+
+def test_poll_order_is_str_sorted_with_ties_in_registration_order():
+    env = Environment()
+    det = PhiAccrualDetector(env, threshold=1.0, poll_interval_s=100.0)
+    early = ["b", 10, "1", 1, "a"]
+    late = [2, ("x",), "10", "0"]
+    for key in early:
+        det.register(key, 1.0)
+    env.run(until=50.0)
+    for key in late:
+        det.register(key, 1.0)
+    env.run(until=101.0)
+    # One poll at t=100 suspects every silent key, in poll order; equal
+    # strings (1 and "1", 10 and "10") keep registration order.
+    assert [key for key, _, _ in det.suspicion_log] == sorted(early + late,
+                                                              key=str)
+    assert {onset for _, onset, _ in det.suspicion_log} == {100.0}
 
 
 def test_detection_latency_requires_onset_after_failure():
@@ -261,3 +281,77 @@ class TestSuspectReason:
         assert det.false_suspicions == 1
         # The all-time reason ledger is never decremented.
         assert det.suspicions_by_reason["silence"] == 1
+
+
+def reference_stats(det, key):
+    """(mean, guarded std) recomputed from the window on every call: the
+    uncached reference the detector's cached statistics must match."""
+    samples = det._intervals[key]
+    mean = sum(samples) / len(samples)
+    if len(samples) > 1:
+        var = sum((s - mean) ** 2 for s in samples) / (len(samples) - 1)
+        std = max(math.sqrt(var), det.min_std_s)
+    else:
+        std = max(det.min_std_s, 0.1 * mean)
+    observed = det._observed[key]
+    if observed < det.min_samples:
+        decay = (det.min_samples - observed) / det.min_samples
+        std = max(std, det.PRIME_STD_FACTOR * mean * decay)
+    return mean, std
+
+
+class UncachedDetector(PhiAccrualDetector):
+    def _window_stats(self, key):
+        return reference_stats(self, key)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cached_stats_match_uncached_reference(seed):
+    """Seeded interleavings of register/heartbeat/phi/is_suspect with a
+    window of 4, so windows roll over; both detectors see every call."""
+    env = Environment()
+    kwargs = dict(threshold=3.0, window=4, min_samples=3, min_std_s=0.05)
+    cached = PhiAccrualDetector(env, **kwargs)
+    reference = UncachedDetector(env, **kwargs)
+    rng = RandomStreams(seed).get("detector-ops")
+    keys: list[str] = []
+    beats: dict[str, int] = {}
+    suspected_beats = guarded_beats = 0
+    for _ in range(600):
+        op = int(rng.integers(10))
+        if op == 0 or not keys:
+            key = f"k{int(rng.integers(5))}"
+            interval = float(rng.choice([0.5, 1.0, 2.0]))
+            cached.register(key, interval)
+            reference.register(key, interval)
+            if key not in keys:
+                keys.append(key)
+            continue
+        key = keys[int(rng.integers(len(keys)))]
+        if op <= 3:
+            if cached.suspected_at(key) is not None:
+                suspected_beats += 1
+            if cached._observed[key] < cached.min_samples:
+                guarded_beats += 1
+            cached.heartbeat(key)
+            reference.heartbeat(key)
+            beats[key] = beats.get(key, 0) + 1
+        elif op <= 5:
+            assert cached.phi(key) == reference.phi(key)
+        elif op <= 7:
+            assert cached.is_suspect(key) == reference.is_suspect(key)
+            assert cached.suspect_reason(key) == reference.suspect_reason(key)
+        else:
+            # Mostly short gaps, now and then a silence long enough to
+            # raise suspicion.
+            gap = float(rng.exponential(0.8 if op == 8 else 6.0))
+            env.run(until=env.now + gap + 1e-3)
+    assert cached.suspicion_log == reference.suspicion_log
+    assert cached.suspicions_by_reason == reference.suspicions_by_reason
+    assert cached.false_suspicions == reference.false_suspicions
+    for key in keys:
+        assert cached._window_stats(key) == reference_stats(cached, key)
+    # The interleaving exercised what the cache must get right.
+    assert max(beats.values()) > cached.window
+    assert suspected_beats > 0 and guarded_beats > 0
+    assert cached.suspicions > 0

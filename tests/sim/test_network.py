@@ -1,8 +1,9 @@
 """Tests for the fault-aware message fabric (`repro.sim.Network`)."""
 
+import numpy as np
 import pytest
 
-from repro.sim import Environment, Monitor, Network
+from repro.sim import Environment, Monitor, Network, RandomStreams
 
 
 class Blocker:
@@ -33,6 +34,42 @@ class Delayer:
 
     def extra_latency_s(self, src, dst):
         return self.delay_s
+
+
+class RngDropper:
+    """Test model: drops ``data`` with probability ``rate``, recording
+    every call and drawing one RNG sample per eligible message."""
+
+    def __init__(self, rng, rate=0.5):
+        self.rng = rng
+        self.rate = rate
+        self.calls = []
+
+    def drops(self, src, dst, kind):
+        self.calls.append((src, dst, kind))
+        return kind == "data" and bool(self.rng.random() < self.rate)
+
+
+class FullModel:
+    """Test model speaking all three hooks, recording every call."""
+
+    def __init__(self, blocked_pair, drop_kind, delay_s):
+        self.blocked_pair = blocked_pair
+        self.drop_kind = drop_kind
+        self.delay_s = delay_s
+        self.calls = []
+
+    def blocks(self, src, dst):
+        self.calls.append(("blocks", src, dst))
+        return (src, dst) == self.blocked_pair
+
+    def drops(self, src, dst, kind):
+        self.calls.append(("drops", src, dst))
+        return kind == self.drop_kind
+
+    def extra_latency_s(self, src, dst):
+        self.calls.append(("extra_latency_s", src, dst))
+        return self.delay_s if src == "c" else 0.0
 
 
 def make_net(*nodes):
@@ -119,6 +156,84 @@ class TestSend:
         net.attach(Delayer(1.0))
         net.attach(Delayer(0.5))
         assert net.latency_s("a", "b") == pytest.approx(1.5)
+
+
+class TestHookBinding:
+    """Hooks are bound once at attach; every verdict walks them in attach
+    order, and a model lacking a hook is simply absent from that walk."""
+
+    def test_models_with_partial_hooks(self):
+        _, net = make_net("a", "b")
+        net.attach(Dropper("data"))
+        net.attach(Delayer(0.25))
+        full = net.attach(FullModel(("b", "a"), "bulk", 0.5))
+        assert net.allows("a", "b")
+        assert not net.allows("b", "a")
+        assert net.latency_s("a", "b") == 0.25
+        assert net.send("a", "b", deliver=lambda: None, kind="data") \
+            == "dropped"
+        # The earlier drop short-circuits the later model's drop hook.
+        assert full.calls == [("blocks", "a", "b"), ("blocks", "b", "a"),
+                              ("extra_latency_s", "a", "b"),
+                              ("blocks", "a", "b")]
+        assert net.send("a", "b", deliver=lambda: None, kind="bulk") \
+            == "dropped"
+        assert full.calls[-1] == ("drops", "a", "b")
+        assert net.dropped == 2
+
+    def test_earlier_block_skips_later_drop_and_its_rng_draw(self):
+        _, net = make_net("a", "b")
+        net.attach(Blocker("a", "b"))
+        rng = RandomStreams(5).get("drops")
+        dropper = net.attach(RngDropper(rng, rate=0.5))
+        state = rng.bit_generator.state
+        for _ in range(5):
+            assert net.send("a", "b", deliver=lambda: None,
+                            kind="data") == "blocked"
+        assert dropper.calls == []
+        assert rng.bit_generator.state == state
+        net.send("b", "a", deliver=lambda: None, kind="data")
+        assert dropper.calls == [("b", "a", "data")]
+        assert rng.bit_generator.state != state
+
+    def test_drops_run_in_attach_order(self):
+        _, net = make_net("a", "b")
+        first = net.attach(RngDropper(np.random.default_rng(1), rate=1.0))
+        second = net.attach(RngDropper(np.random.default_rng(2), rate=1.0))
+        assert net.send("a", "b", deliver=lambda: None,
+                        kind="data") == "dropped"
+        assert first.calls == [("a", "b", "data")]
+        assert second.calls == []
+
+    def test_allows_and_latency_agree_with_send(self):
+        env, net = make_net("a", "b", "c")
+        net.attach(Blocker("a", "b"))
+        net.attach(Dropper("data"))
+        net.attach(Delayer(0.0))
+        net.attach(FullModel(("c", "a"), "bulk", 1.5))
+        for src in ("a", "b", "c"):
+            for dst in ("a", "b", "c"):
+                for kind in ("message", "data", "bulk"):
+                    arrived = []
+                    allowed = net.allows(src, dst)
+                    latency = net.latency_s(src, dst)
+                    sent_at = env.now
+                    verdict = net.send(
+                        src, dst, deliver=lambda: arrived.append(env.now),
+                        kind=kind)
+                    if not allowed:
+                        assert verdict == "blocked"
+                    elif kind in ("data", "bulk"):
+                        assert verdict == "dropped"
+                    elif latency > 0:
+                        assert verdict == "in_flight"
+                        env.run()
+                        assert arrived == [sent_at + latency]
+                    else:
+                        assert verdict == "delivered"
+                        assert arrived == [sent_at]
+        assert net.sent == net.delivered + net.blocked + net.dropped
+        assert net.blocked == 6
 
 
 class TestConservation:
