@@ -135,18 +135,18 @@ def execute_schedule(schedule: FaultSchedule,
                      ) -> CampaignRun:
     """Run ``schedule`` against its world, traced and metered.
 
+    Episodes, seed, and sim-time budget all come from the schedule.
     ``extra_world_kwargs`` passes additional scenario knobs through —
     the campaign's way of planting a known bug (``fence_on_failover=
     False``, ``report_retry=False``) under the oracles' noses.
     """
-    runner = WORLD_RUNNERS[schedule.world]
-    kwargs = schedule.to_world_kwargs()
-    if extra_world_kwargs:
-        kwargs.update(extra_world_kwargs)
     registry = MetricsRegistry()
     digest = TraceDigest()
     with Environment.traced(digest):
-        result = runner(registry=registry, **kwargs)
+        result = WORLD_RUNNERS[schedule.world](
+            seed=schedule.seed, episodes=schedule.episodes,
+            sim_budget_s=schedule.sim_budget_s, invariant_halt=False,
+            registry=registry, **(extra_world_kwargs or {}))
     return CampaignRun(result=result, trace_digest=digest.hexdigest(),
                        trace_events=digest.events,
                        metrics=registry.snapshot())
@@ -239,6 +239,11 @@ class OracleStack:
 
     def __init__(self, oracles=None, *, double_run: bool = True,
                  extra_world_kwargs: Optional[dict] = None):
+        owned = sorted({"seed", "episodes", "sim_budget_s", "invariant_halt",
+                        "registry"}.intersection(extra_world_kwargs or ()))
+        if owned:  # a verdict must describe the run that was executed
+            raise ValueError(f"extra_world_kwargs may not set {owned}: "
+                             "execute_schedule sets them from the schedule")
         self.oracles = oracles
         self.double_run = double_run
         self.extra_world_kwargs = dict(extra_world_kwargs or {})

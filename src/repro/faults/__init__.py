@@ -12,6 +12,9 @@ This package provides the two halves of that evaluation on top of
   scheduled network splits over named node-groups (including one-way
   cuts) and heartbeat-alive-but-degraded nodes, attachable to the
   :class:`~repro.sim.Network` routing fabric;
+- **typed fault episodes** (:mod:`repro.faults.episodes`) — one fault
+  of a known kind over a sim-time window, the fault plan the composed
+  chaos worlds and the campaign's schedules share;
 - **resilience policies** (:mod:`repro.faults.policies`) — retry with
   backoff, timeouts, circuit breaking, and hedging, as composable
   sim-process combinators any domain can wrap around its operations.

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.cluster import Cluster, FailureInjector
 from repro.cluster.machine import Machine
+from repro.faults.episodes import EPISODE_KINDS, Episode, normalize_episodes
 from repro.faults.models import CrashRestart, TransientErrorModel
 from repro.faults.partition import (
     GrayFailureModel,
@@ -468,29 +469,155 @@ def run_scheduler_recovery_scenario(seed: int = 0,
 
 # -- composed ecosystem: partition + gray failure + invariants -------------
 
-def _overload_factor(spans, now: float) -> float:
-    """Highest active overload multiplier at ``now`` (1.0 when idle)."""
-    factor = 1.0
-    for start, end, mult in spans or ():
-        if start <= now < end:
-            factor = max(factor, float(mult))
-    return factor
+#: The classic partition-world fault plan: the minority is cut off for
+#: 100 s, one majority worker and the scheduler node go gray across the
+#: cut, and the scheduler fail-stops for 8 s in the middle of it.
+PARTITION_PLAN = (
+    Episode("partition", 50.0, 150.0),
+    Episode("gray", 70.0, 190.0),
+    Episode("gray", 90.0, 130.0, {"role": "scheduler"}),
+    Episode("crash", 95.0, 103.0),
+)
+
+#: The classic failover-world fault plan: the boot leader is cut off
+#: while gray-failing, and the heal is one-way (``inbound`` still
+#: severed) for 20 s, so only fencing can depose it.
+FAILOVER_PLAN = (
+    Episode("partition", 60.0, 150.0),
+    Episode("partition", 150.0, 170.0, {"direction": "inbound"}),
+    Episode("gray", 55.0, 170.0),
+)
 
 
-def _merge_burst_spans(gray_episodes: dict, machines,
-                       burst_episodes) -> None:
-    """Gray-degrade the first ``ceil(fraction * fleet)`` machines per burst.
+def _by_kind(episodes: Iterable[Episode]) -> dict:
+    """Normalized ``episodes`` bucketed by kind (every kind present)."""
+    plan: dict[str, list] = {kind: [] for kind in EPISODE_KINDS}
+    for episode in normalize_episodes(episodes):
+        plan[episode.kind].append(episode)
+    return plan
 
-    Correlated bursts pick their victims deterministically — a fixed
-    prefix of the machine list — so a schedule replays identically with
-    no RNG stream of its own.
+
+def _arrivals(env: Environment, rng, n: int, rate_per_s: float,
+              overloads, arrive):
+    """Process body: ``n`` Poisson arrivals, each calling ``arrive()``;
+    the rate is multiplied by the highest active overload factor."""
+    for _ in range(n):
+        factor = max([1.0] + [float(e.params["factor"]) for e in overloads
+                              if e.start_s <= env.now < e.end_s])
+        yield env.timeout(float(rng.exponential(
+            1.0 / (rate_per_s * factor))))
+        arrive()
+
+
+def _since_cut(t: Optional[float], cuts) -> Optional[float]:
+    """Seconds from the latest partition start at or before ``t`` to
+    ``t``; ``None`` when ``t`` is ``None`` or no cut had started."""
+    starts = [e.start_s for e in cuts if t is not None and e.start_s <= t]
+    return round(t - max(starts), 3) if starts else None
+
+
+def _fabric(env: Environment, streams: RandomStreams, registry, plan: dict,
+            group: str, members: list, gray_nodes: dict, machines,
+            **gray_knobs) -> tuple:
+    """The network and its fault layers, built from ``plan``'s episodes.
+
+    Partitions cut ``group`` off and gray episodes degrade
+    ``gray_nodes[role]``. Each burst grays the first
+    ``ceil(fraction * fleet)`` of ``machines`` — a fixed prefix, so a
+    burst replays with no RNG stream of its own. Returns
+    ``(network, gray_model)``.
     """
-    for start, end, fraction in burst_episodes or ():
-        k = min(len(machines), max(1, math.ceil(float(fraction)
+    gray_episodes: dict[str, list] = {n: [] for n in gray_nodes.values()}
+    for e in plan["gray"]:
+        gray_episodes[gray_nodes[e.params.get("role", "worker")]].append(
+            (e.start_s, e.end_s))
+    for e in plan["burst"]:
+        k = min(len(machines), max(1, math.ceil(float(e.params["fraction"])
                                                 * len(machines))))
         for machine in machines[:k]:
             gray_episodes.setdefault(machine.name, []).append(
-                (float(start), float(end)))
+                (e.start_s, e.end_s))
+    network = Network(env, monitor=Monitor(env, registry=registry,
+                                           namespace="network"))
+    network.attach(NetworkPartitionModel(
+        env, groups={group: members},
+        episodes=[PartitionEpisode(e.start_s, e.end_s, group,
+                                   e.params.get("direction", "both"))
+                  for e in plan["partition"]],
+        monitor=Monitor(env, registry=registry, namespace="partition")))
+    gray = network.attach(GrayFailureModel(
+        env, streams.get("gray-failures"), extra_latency_s=0.2,
+        episodes=gray_episodes,
+        monitor=Monitor(env, registry=registry, namespace="gray"),
+        **gray_knobs))
+    if plan["loss"]:
+        network.attach(ScheduledMessageLoss(
+            env, streams.get("message-loss"),
+            [(e.start_s, e.end_s, e.params["rate"]) for e in plan["loss"]],
+            monitor=Monitor(env, registry=registry, namespace="loss")))
+    return network, gray
+
+
+def _front_door(env: Environment, sim: ClusterSimulator,
+                registry) -> FrontDoor:
+    """The worlds' shared front door: token bucket plus brownout."""
+    return FrontDoor(
+        env, sim, TokenBucketAdmitter(env, rate_per_s=1.0, burst=4.0),
+        BrownoutController(degraded_enter=1.2, degraded_exit=0.8,
+                           critical_enter=2.5, critical_exit=1.6),
+        Monitor(env, registry=registry, namespace="composed"), queue_ref=6.0)
+
+
+def _drive_tasks(env: Environment, streams: RandomStreams, door: FrontDoor,
+                 n_tasks: int, rate_per_s: float, overloads) -> None:
+    """Offer ``n_tasks`` arrivals at ``door``, then close submissions."""
+    sizes = streams.get("task-sizes")
+
+    def task_driver(env):
+        yield from _arrivals(
+            env, streams.get("task-arrivals"), n_tasks, rate_per_s,
+            overloads,
+            lambda: door.offer(Task(work=float(sizes.uniform(20.0, 80.0)))))
+        door.sim.close_submissions()
+
+    env.process(task_driver(env))
+
+
+def _books(env: Environment, door: FrontDoor, sim: ClusterSimulator,
+           network: Network, engine: Optional[InvariantEngine]) -> dict:
+    """The result keys both composed worlds report: front door,
+    scheduler, network ledger, and invariant audit."""
+    metrics = sim.metrics() if sim.finished else None
+    lost_reports = sim.monitor.counters.get("lost_reports")
+    return {
+        # front door / scheduler
+        "offered": door.offered,
+        "admitted": door.admitted,
+        "door_shed": door.shed,
+        "submitted": sim.submitted,
+        "completed": metrics.n_tasks if metrics is not None else 0,
+        "lost": len(sim.failed),
+        "misdispatches": sim.misdispatches,
+        "lost_reports": lost_reports.total if lost_reports else 0,
+        "scheduler_crashes": sim.scheduler_crashes,
+        "recovered_completions": sim.recovered_completions,
+        "readopted": sim.readopted,
+        "orphans_requeued": sim.orphans_requeued,
+        "all_done": sim.all_done,
+        "sim_time_s": round(env.now, 3),
+        "makespan_s": (round(metrics.makespan_s, 3)
+                       if metrics is not None else None),
+        # network ledger
+        "messages_sent": network.sent,
+        "messages_delivered": network.delivered,
+        "messages_blocked": network.blocked,
+        "messages_dropped": network.dropped,
+        "messages_in_flight": network.in_flight,
+        # invariants
+        "invariant_checks": engine.checks if engine is not None else 0,
+        "invariant_violations": (engine.violations
+                                 if engine is not None else 0),
+    }
 
 
 class FrontDoor:
@@ -504,9 +631,8 @@ class FrontDoor:
     """
 
     def __init__(self, env: Environment, sim: ClusterSimulator,
-                 admitter: Optional[TokenBucketAdmitter] = None,
-                 brownout: Optional[BrownoutController] = None,
-                 monitor: Optional[Monitor] = None,
+                 admitter: TokenBucketAdmitter,
+                 brownout: BrownoutController, monitor: Monitor,
                  queue_ref: float = 10.0):
         if queue_ref <= 0:
             raise ValueError("queue_ref must be positive")
@@ -527,22 +653,16 @@ class FrontDoor:
     def offer(self, task: Task) -> bool:
         """Admit or shed one task; True means it reached the scheduler."""
         self.offered += 1
-        if self.monitor is not None:
-            self.monitor.count("offered")
-            self.monitor.record("pressure", self.pressure())
-        mode = ServiceMode.NORMAL
-        if self.brownout is not None:
-            mode = self.brownout.observe(self.pressure(), self.env.now)
+        self.monitor.count("offered")
+        self.monitor.record("pressure", self.pressure())
+        mode = self.brownout.observe(self.pressure(), self.env.now)
         cost = 2.0 if mode is ServiceMode.DEGRADED else 1.0
-        if mode is ServiceMode.CRITICAL or (
-                self.admitter is not None and not self.admitter.admit(cost)):
+        if mode is ServiceMode.CRITICAL or not self.admitter.admit(cost):
             self.shed += 1
-            if self.monitor is not None:
-                self.monitor.count("shed")
+            self.monitor.count("shed")
             return False
         self.admitted += 1
-        if self.monitor is not None:
-            self.monitor.count("admitted")
+        self.monitor.count("admitted")
         task.submit_time = self.env.now
         self.sim.submit_task(task)
         return True
@@ -553,29 +673,10 @@ def run_partition_scenario(seed: int = 0,
                            task_rate_per_s: float = 0.8,
                            n_invocations: int = 120,
                            invoke_rate_per_s: float = 1.2,
-                           n_machines: int = 8,
-                           minority: int = 3,
-                           partition_start_s: float = 50.0,
-                           partition_end_s: float = 150.0,
-                           partition_direction: str = "both",
-                           gray_worker_span: tuple = (70.0, 190.0),
-                           gray_scheduler_span: tuple = (90.0, 130.0),
-                           gray_slowdown: float = 2.5,
                            gray_drop_rate: float = 0.15,
-                           gray_latency_s: float = 0.2,
-                           crash_at_s: float = 95.0,
-                           outage_s: float = 8.0,
-                           job_work_s: float = 240.0,
-                           job_mtbf_s: float = 150.0,
-                           check_interval_s: float = 1.0,
                            invariants: bool = True,
                            invariant_halt: bool = True,
-                           partition_episodes: Optional[Iterable] = None,
-                           gray_spans: Optional[dict] = None,
-                           crash_schedule: Optional[Iterable] = None,
-                           burst_episodes: Optional[Iterable] = None,
-                           loss_episodes: Optional[Iterable] = None,
-                           overload_spans: Optional[Iterable] = None,
+                           episodes: Iterable[Episode] = PARTITION_PLAN,
                            sim_budget_s: Optional[float] = None,
                            report_retry: bool = True,
                            tracer=None, registry=None) -> dict:
@@ -598,62 +699,31 @@ def run_partition_scenario(seed: int = 0,
     gray workers — whose heartbeats are protected, per the definition of
     a gray failure — are never declared dead.
 
-    The schedule knobs (all default-``None``, leaving the classic run
-    byte-identical) let a fuzzing campaign drive the same world from a
-    serialized :class:`~repro.campaign.FaultSchedule`:
-    ``partition_episodes`` replaces the single minority cut,
-    ``gray_spans`` maps the roles ``"worker"``/``"scheduler"`` to span
-    lists, ``crash_schedule`` is ``[(crash_at_s, outage_s), ...]``,
-    ``burst_episodes``/``loss_episodes``/``overload_spans`` add
-    correlated gray bursts, scheduled message loss, and arrival-rate
-    multipliers, and ``sim_budget_s`` bounds the run in sim-time so no
-    random schedule can wedge it. ``report_retry=False`` plants the
-    known lost-completion-report liveness bug for oracle validation.
+    ``episodes`` is the fault plan (default :data:`PARTITION_PLAN`):
+    partitions cut off the three-worker ``"minority"`` group, gray
+    episodes degrade the last majority worker or (``role="scheduler"``)
+    the scheduler node, and crashes fail-stop the scheduler.
+    ``sim_budget_s`` bounds the run in sim-time so no random plan can
+    wedge it. ``report_retry=False`` plants the known
+    lost-completion-report liveness bug for oracle validation.
     """
-    if not 0 < minority < n_machines:
-        raise ValueError("minority must be in (0, n_machines)")
+    plan = _by_kind(episodes)
     streams = RandomStreams(seed)
     env = Environment()
     if tracer is not None and tracer.env is None:
         tracer.bind(env)
-    cluster = Cluster.homogeneous("composed", n_machines, cores=4)
-    minority_names = [m.name for m in cluster.machines[-minority:]]
-    gray_worker = cluster.machines[-minority - 1].name
+    cluster = Cluster.homogeneous("composed", 8, cores=4)
+    minority_names = [m.name for m in cluster.machines[-3:]]
+    gray_worker = cluster.machines[-4].name
 
-    if partition_episodes is None:
-        partition_episodes = [PartitionEpisode(
-            partition_start_s, partition_end_s,
-            "minority", partition_direction)]
-    if gray_spans is None:
-        gray_spans = {"worker": [gray_worker_span],
-                      "scheduler": [gray_scheduler_span]}
-    gray_episodes = {
-        gray_worker: [tuple(s) for s in gray_spans.get("worker", ())],
-        "scheduler": [tuple(s) for s in gray_spans.get("scheduler", ())]}
-    _merge_burst_spans(gray_episodes, cluster.machines, burst_episodes)
-
-    network = Network(env, monitor=Monitor(env, registry=registry,
-                                           namespace="network"))
-    partition = network.attach(NetworkPartitionModel(
-        env, groups={"minority": minority_names},
-        episodes=list(partition_episodes),
-        monitor=Monitor(env, registry=registry, namespace="partition")))
-    gray = network.attach(GrayFailureModel(
-        env, streams.get("gray-failures"),
-        slowdown=gray_slowdown, drop_rate=gray_drop_rate,
-        extra_latency_s=gray_latency_s,
-        episodes=gray_episodes,
-        monitor=Monitor(env, registry=registry, namespace="gray")))
-    if loss_episodes:
-        network.attach(ScheduledMessageLoss(
-            env, streams.get("message-loss"), loss_episodes,
-            monitor=Monitor(env, registry=registry, namespace="loss")))
+    network, gray = _fabric(
+        env, streams, registry, plan, "minority", minority_names,
+        {"worker": gray_worker, "scheduler": "scheduler"}, cluster.machines,
+        slowdown=2.5, drop_rate=gray_drop_rate)
 
     detector = PhiAccrualDetector(
         env, threshold=8.0, poll_interval_s=0.5,
         monitor=Monitor(env, registry=registry, namespace="detection"))
-    heartbeat_rngs = {m.name: streams.get(f"hb-{m.name}")
-                      for m in cluster.machines}
 
     journal = Journal(env, append_cost_s=0.002,
                       replay_cost_per_record_s=0.001, name="composed-journal")
@@ -667,20 +737,14 @@ def run_partition_scenario(seed: int = 0,
 
     def add_heartbeat(machine: Machine) -> None:
         HeartbeatEmitter(env, detector, machine.name, 1.0,
-                         rng=heartbeat_rngs[machine.name],
+                         rng=streams.get(f"hb-{machine.name}"),
                          is_up=lambda m=machine: m.is_up,
                          network=network, src=machine.name, dst="scheduler")
 
     for machine in cluster.machines:
         add_heartbeat(machine)
 
-    composed_monitor = Monitor(env, registry=registry, namespace="composed")
-    door = FrontDoor(
-        env, sim,
-        admitter=TokenBucketAdmitter(env, rate_per_s=1.0, burst=4.0),
-        brownout=BrownoutController(degraded_enter=1.2, degraded_exit=0.8,
-                                    critical_enter=2.5, critical_exit=1.6),
-        monitor=composed_monitor, queue_ref=6.0)
+    door = _front_door(env, sim, registry)
 
     platform = FaaSPlatform(
         env,
@@ -699,15 +763,15 @@ def run_partition_scenario(seed: int = 0,
 
     store = CheckpointStore(env, tier="local", keep_last=3)
     job = CheckpointedJob(
-        env, work_s=job_work_s,
+        env, work_s=240.0,
         policy=DalyOptimalCheckpoint(store.write_time_s(100.0),
-                                     mtbf_s=job_mtbf_s),
+                                     mtbf_s=150.0),
         store=store, checkpoint_size_mb=100.0, restart_cost_s=2.0,
         name="composed-job",
         monitor=Monitor(env, registry=registry, namespace="recovery"),
         tracer=tracer)
     crash = CrashRestart(env, [job], streams.get("job-crashes"),
-                         mtbf_s=job_mtbf_s, mttr_s=10.0,
+                         mtbf_s=150.0, mttr_s=10.0,
                          name="composed-job-crash")
 
     engine = None
@@ -716,63 +780,40 @@ def run_partition_scenario(seed: int = 0,
             env,
             standard_laws(network=network, scheduler=sim, platform=platform,
                           front_door=door, jobs=[job]),
-            check_interval_s=check_interval_s,
+            check_interval_s=1.0,
             halt=invariant_halt, seed=seed,
             monitor=Monitor(env, registry=registry, namespace="invariants"))
 
-    task_rng = streams.get("task-sizes")
-    task_arrivals = streams.get("task-arrivals")
-    invoke_arrivals = streams.get("invoke-arrivals")
-
-    def task_driver(env):
-        for _ in range(n_tasks):
-            rate = task_rate_per_s * _overload_factor(overload_spans,
-                                                      env.now)
-            yield env.timeout(float(task_arrivals.exponential(1.0 / rate)))
-            door.offer(Task(work=float(task_rng.uniform(20.0, 80.0))))
-        sim.close_submissions()
-
-    def invoke_driver(env):
-        for _ in range(n_invocations):
-            rate = invoke_rate_per_s * _overload_factor(overload_spans,
-                                                        env.now)
-            yield env.timeout(float(invoke_arrivals.exponential(1.0 / rate)))
-            platform.invoke("f")
-
-    crashes = ([(crash_at_s, outage_s)] if crash_schedule is None
-               else sorted((float(at), float(down))
-                           for at, down in crash_schedule))
-
     def outage(env):
-        for at, down_s in crashes:
-            if at > env.now:
-                yield env.timeout(at - env.now)
+        for e in plan["crash"]:
+            if e.start_s > env.now:
+                yield env.timeout(e.start_s - env.now)
             if sim.all_done or sim.crashed:
                 continue
             sim.crash_scheduler()
-            yield env.timeout(down_s)
+            yield env.timeout(e.duration_s)
             yield from sim.recover_scheduler()
 
-    scale_limit = 2
     scaled: list[Machine] = []
 
     def autoscaler(env):
         while not sim.all_done:
             yield env.timeout(5.0)
-            if len(sim.ready) >= 12 and len(scaled) < scale_limit:
+            if len(sim.ready) >= 12 and len(scaled) < 2:
                 machine = Machine(f"composed-x{len(scaled):04d}", cores=4,
                                   memory_gb=32.0)
                 cluster.add_machine(machine)
                 network.add_node(machine.name)
-                heartbeat_rngs[machine.name] = streams.get(
-                    f"hb-{machine.name}")
                 add_heartbeat(machine)
                 scaled.append(machine)
-                composed_monitor.count("scaled_up")
+                door.monitor.count("scaled_up")
                 sim.handle_machine_repair(machine)
 
-    env.process(task_driver(env))
-    env.process(invoke_driver(env))
+    _drive_tasks(env, streams, door, n_tasks, task_rate_per_s,
+                 plan["overload"])
+    env.process(_arrivals(env, streams.get("invoke-arrivals"),
+                          n_invocations, invoke_rate_per_s, plan["overload"],
+                          lambda: platform.invoke("f")))
     env.process(outage(env))
     env.process(autoscaler(env))
 
@@ -789,60 +830,28 @@ def run_partition_scenario(seed: int = 0,
         env.run(until=sim_budget_s)
     if engine is not None:
         engine.check_now()
-    if door.brownout is not None:
-        door.brownout.finish(env.now)
-    if platform.brownout is not None:
-        platform.brownout.finish(env.now)
+    door.brownout.finish(env.now)
+    platform.brownout.finish(env.now)
 
-    metrics = sim.metrics() if sim.finished else None
     job_stats = job.stats() if job.finished_at is not None else None
-    suspected_minority = [name for name in minority_names
-                          if any(key == name
-                                 for key, _, _ in detector.suspicion_log)]
     first_onset: dict = {}
     for key, onset, _ in detector.suspicion_log:
         first_onset.setdefault(key, onset)
-    minority_detection_latency_s = {
-        name: (round(first_onset[name] - partition_start_s, 3)
-               if name in first_onset else None)
-        for name in minority_names}
-    lost_reports = sim.monitor.counters.get("lost_reports")
     return {
-        # front door / scheduler
-        "offered": door.offered,
-        "admitted": door.admitted,
-        "door_shed": door.shed,
-        "submitted": sim.submitted,
-        "completed": metrics.n_tasks if metrics is not None else 0,
-        "lost": len(sim.failed),
+        **_books(env, door, sim, network, engine),
         "restarts": sim.restarts,
-        "misdispatches": sim.misdispatches,
-        "lost_reports": lost_reports.total if lost_reports else 0,
-        "scheduler_crashes": sim.scheduler_crashes,
-        "recovered_completions": sim.recovered_completions,
-        "readopted": sim.readopted,
-        "orphans_requeued": sim.orphans_requeued,
         "scaled_up": len(scaled),
-        "all_done": sim.all_done,
-        "sim_time_s": round(env.now, 3),
-        "makespan_s": (round(metrics.makespan_s, 3)
-                       if metrics is not None else None),
         # detection
         "suspicions": detector.suspicions,
         "suspicions_by_reason": dict(detector.suspicions_by_reason),
         "false_suspicions": detector.false_suspicions,
-        "suspected_minority": suspected_minority,
-        "minority_detection_latency_s": minority_detection_latency_s,
+        "suspected_minority": [name for name in minority_names
+                               if name in first_onset],
+        "minority_detection_latency_s": {
+            name: _since_cut(first_onset.get(name), plan["partition"])
+            for name in minority_names},
         "gray_worker": gray_worker,
-        "gray_worker_suspected": any(key == gray_worker
-                                     for key, _, _ in
-                                     detector.suspicion_log),
-        # network ledger
-        "messages_sent": network.sent,
-        "messages_delivered": network.delivered,
-        "messages_blocked": network.blocked,
-        "messages_dropped": network.dropped,
-        "messages_in_flight": network.in_flight,
+        "gray_worker_suspected": gray_worker in first_onset,
         # serverless
         "invocations": len(platform.invocations),
         "invocations_completed": len(platform.completed("f")),
@@ -854,10 +863,6 @@ def run_partition_scenario(seed: int = 0,
                         if job_stats is not None else job.crashes),
         "job_finished": job.finished_at is not None,
         "job_availability": round(crash.empirical_availability(), 6),
-        # invariants
-        "invariant_checks": engine.checks if engine is not None else 0,
-        "invariant_violations": (engine.violations
-                                 if engine is not None else 0),
     }
 
 
@@ -865,26 +870,8 @@ def run_partition_scenario(seed: int = 0,
 
 def run_failover_scenario(seed: int = 0,
                           n_tasks: int = 36,
-                          task_rate_per_s: float = 0.6,
-                          n_machines: int = 6,
-                          partition_start_s: float = 60.0,
-                          partition_heal_s: float = 150.0,
-                          oneway_heal_s: float = 170.0,
-                          gray_span: tuple = (55.0, 170.0),
-                          gray_drop_rate: float = 0.15,
-                          gray_latency_s: float = 0.2,
-                          lease_ttl_s: float = 4.0,
-                          renew_interval_s: float = 1.0,
-                          takeover_cost_s: float = 0.5,
-                          restart_cost_s: float = 5.0,
-                          replay_cost_per_record_s: float = 0.01,
-                          check_interval_s: float = 1.0,
                           invariant_halt: bool = True,
-                          partition_episodes: Optional[Iterable] = None,
-                          gray_spans: Optional[Iterable] = None,
-                          burst_episodes: Optional[Iterable] = None,
-                          loss_episodes: Optional[Iterable] = None,
-                          overload_spans: Optional[Iterable] = None,
+                          episodes: Iterable[Episode] = FAILOVER_PLAN,
                           sim_budget_s: Optional[float] = None,
                           fence_on_failover: bool = True,
                           report_retry: bool = True,
@@ -892,73 +879,53 @@ def run_failover_scenario(seed: int = 0,
     """The failover study: a partitioned, gray-failing leader is replaced.
 
     Three control nodes (``cp-0`` leads at boot) run lease election and
-    journal shipping over the same network the dispatches use. At
-    ``partition_start_s`` the leader is cut off *while gray-failing*
-    (its data-plane traffic was already lossy and laggy; its lease
-    renewals were protected — slow is not down). The standbys' phi
-    detectors read the renewal silence, one wins the next term within
+    journal shipping over the same network the dispatches use. In the
+    default :data:`FAILOVER_PLAN` the leader is cut off at 60 s *while
+    gray-failing* (its data-plane traffic was already lossy and laggy;
+    its lease renewals were protected — slow is not down). The standbys'
+    phi detectors read the renewal silence, one wins the next term within
     the lease TTL, fences every machine, and takes the brain over warm:
     its shipped journal prefix is the believed-state map, so promotion
     pays the takeover cost plus reconciliation — no replay.
 
-    The heal is deliberately one-way (``inbound`` episode until
-    ``oneway_heal_s``): from ``partition_heal_s`` the deposed leader's
-    *outbound* writes reach the majority again while it still cannot
-    hear the new term. Its term-stamped dispatches bounce off the fence
-    — counted, one-for-one, by the ``fenced_writes_rejected`` law — and
-    the rejections teach it to step down. Split-brain is an observable
-    non-event: zero tasks lost, zero duplicated, exactly one leader per
-    term, audited every simulated second.
+    The heal is deliberately one-way (an ``inbound`` episode from 150 s
+    to 170 s): the deposed leader's *outbound* writes reach the majority
+    again while it still cannot hear the new term. Its term-stamped
+    dispatches bounce off the fence — counted, one-for-one, by the
+    ``fenced_writes_rejected`` law — and the rejections teach it to step
+    down. Split-brain is an observable non-event: zero tasks lost, zero
+    duplicated, exactly one leader per term, audited every simulated
+    second.
 
-    The schedule knobs mirror :func:`run_partition_scenario` (defaults
-    leave the classic run byte-identical): ``partition_episodes`` acts on
-    the ``"old-leader"`` group, ``gray_spans`` is a list of spans for the
-    boot leader ``cp-0``, bursts gray-degrade a machine-fleet prefix,
-    and ``sim_budget_s`` bounds the run. ``fence_on_failover=False``
-    plants the known split-brain safety bug (promotion never fences nor
-    advances the epoch), ``report_retry=False`` the lost-report liveness
-    bug — both are what a campaign's oracles exist to catch.
+    ``episodes`` reads as in :func:`run_partition_scenario`, but
+    partitions cut off ``cp-0``, every gray episode degrades it, and
+    ``crash`` episodes are rejected: this world's scheduler crashes are
+    failed over, not forced. ``fence_on_failover=False`` plants the known
+    split-brain safety bug (promotion never fences nor advances the
+    epoch), ``report_retry=False`` the lost-report liveness bug — both
+    are what a campaign's oracles exist to catch.
     """
+    plan = _by_kind(episodes)
+    if plan["crash"]:
+        raise ValueError("the failover world takes no crash episodes: its "
+                         "scheduler crashes are failed over, not forced")
     streams = RandomStreams(seed)
     env = Environment()
     if tracer is not None and tracer.env is None:
         tracer.bind(env)
-    cluster = Cluster.homogeneous("failover", n_machines, cores=4)
-    nodes = ("cp-0", "cp-1", "cp-2")
+    cluster = Cluster.homogeneous("failover", 6, cores=4)
 
-    if partition_episodes is None:
-        partition_episodes = [
-            PartitionEpisode(partition_start_s, partition_heal_s,
-                             "old-leader", "both"),
-            PartitionEpisode(partition_heal_s, oneway_heal_s,
-                             "old-leader", "inbound")]
-    gray_episodes = {"cp-0": ([gray_span] if gray_spans is None
-                              else [tuple(s) for s in gray_spans])}
-    _merge_burst_spans(gray_episodes, cluster.machines, burst_episodes)
-
-    network = Network(env, monitor=Monitor(env, registry=registry,
-                                           namespace="network"))
-    network.attach(NetworkPartitionModel(
-        env, groups={"old-leader": ["cp-0"]},
-        episodes=list(partition_episodes),
-        monitor=Monitor(env, registry=registry, namespace="partition")))
-    network.attach(GrayFailureModel(
-        env, streams.get("gray-failures"),
-        slowdown=2.0, drop_rate=gray_drop_rate,
-        extra_latency_s=gray_latency_s,
-        episodes=gray_episodes,
-        protected_kinds=("heartbeat", "lease", "lease_ack"),
-        monitor=Monitor(env, registry=registry, namespace="gray")))
-    if loss_episodes:
-        network.attach(ScheduledMessageLoss(
-            env, streams.get("message-loss"), loss_episodes,
-            monitor=Monitor(env, registry=registry, namespace="loss")))
+    network, _ = _fabric(
+        env, streams, registry, plan, "old-leader", ["cp-0"],
+        {"worker": "cp-0", "scheduler": "cp-0"}, cluster.machines,
+        slowdown=2.0, drop_rate=0.15,
+        protected_kinds=("heartbeat", "lease", "lease_ack"))
 
     journal = Journal(env, append_cost_s=0.002,
-                      replay_cost_per_record_s=replay_cost_per_record_s,
+                      replay_cost_per_record_s=0.01,
                       name="failover-journal")
     sim = ClusterSimulator(env, cluster, FCFSPolicy(), journal=journal,
-                           scheduler_restart_cost_s=restart_cost_s,
+                           scheduler_restart_cost_s=5.0,
                            network=network, node_name="cp-0",
                            report_retry=report_retry,
                            tracer=tracer, registry=registry)
@@ -969,9 +936,8 @@ def run_failover_scenario(seed: int = 0,
         env, threshold=4.0, poll_interval_s=0.25,
         monitor=replication_monitor, name="lease")
     control = ReplicatedControlPlane(
-        env, sim, network, nodes, streams,
-        lease_ttl_s=lease_ttl_s, renew_interval_s=renew_interval_s,
-        takeover_cost_s=takeover_cost_s,
+        env, sim, network, ("cp-0", "cp-1", "cp-2"), streams,
+        lease_ttl_s=4.0, renew_interval_s=1.0, takeover_cost_s=0.5,
         detector=lease_detector, monitor=replication_monitor,
         tracer=tracer,
         # The pathological leader: gray-failed, it never audits its own
@@ -979,77 +945,40 @@ def run_failover_scenario(seed: int = 0,
         self_demote={"cp-0": False},
         fence_on_failover=fence_on_failover)
 
-    composed_monitor = Monitor(env, registry=registry, namespace="composed")
-    door = FrontDoor(
-        env, sim,
-        admitter=TokenBucketAdmitter(env, rate_per_s=1.0, burst=4.0),
-        brownout=BrownoutController(degraded_enter=1.2, degraded_exit=0.8,
-                                    critical_enter=2.5, critical_exit=1.6),
-        monitor=composed_monitor, queue_ref=6.0)
+    door = _front_door(env, sim, registry)
 
     engine = InvariantEngine(
         env,
         standard_laws(network=network, scheduler=sim, front_door=door,
                       control_plane=control),
-        check_interval_s=check_interval_s,
+        check_interval_s=1.0,
         halt=invariant_halt, seed=seed,
         monitor=Monitor(env, registry=registry, namespace="invariants"))
 
-    task_rng = streams.get("task-sizes")
-    task_arrivals = streams.get("task-arrivals")
-
-    def task_driver(env):
-        for _ in range(n_tasks):
-            rate = task_rate_per_s * _overload_factor(overload_spans,
-                                                      env.now)
-            yield env.timeout(float(task_arrivals.exponential(1.0 / rate)))
-            door.offer(Task(work=float(task_rng.uniform(20.0, 80.0))))
-        sim.close_submissions()
-
-    env.process(task_driver(env))
+    _drive_tasks(env, streams, door, n_tasks, 0.6, plan["overload"])
 
     if sim_budget_s is None:
         env.run(until=sim._scheduler)
         # The books usually close before the heal; play the epilogue out
         # so the deposed leader is fenced, deposed, and re-adopted as a
         # standby.
-        env.run(until=max(env.now, oneway_heal_s + 10.0))
+        last_heal_s = max((e.end_s for e in plan["partition"]), default=0.0)
+        env.run(until=max(env.now, last_heal_s + 10.0))
         env.run(until=env.now + 10.0)
     else:
         # Campaign mode: a hard sim-time ceiling — random schedules must
         # never wedge the run.
         env.run(until=sim_budget_s)
     engine.check_now()
-    if door.brownout is not None:
-        door.brownout.finish(env.now)
+    door.brownout.finish(env.now)
 
-    metrics = sim.metrics() if sim.finished else None
-    first_onset = None
-    for _, onset, _ in lease_detector.suspicion_log:
-        if onset >= partition_start_s:
-            first_onset = onset
-            break
+    first_onset = next((onset for _, onset, _ in lease_detector.suspicion_log
+                        if _since_cut(onset, plan["partition"]) is not None),
+                       None)
     first_promotion = (min(control.promoted_at.values())
                        if control.promoted_at else None)
-    lost_reports = sim.monitor.counters.get("lost_reports")
     return {
-        # front door / scheduler
-        "offered": door.offered,
-        "admitted": door.admitted,
-        "door_shed": door.shed,
-        "submitted": sim.submitted,
-        "completed": metrics.n_tasks if metrics is not None else 0,
-        "lost": len(sim.failed),
-        "misdispatches": sim.misdispatches,
-        "lost_reports": lost_reports.total if lost_reports else 0,
-        "scheduler_crashes": sim.scheduler_crashes,
-        "recovered_completions": sim.recovered_completions,
-        "readopted": sim.readopted,
-        "orphans_requeued": sim.orphans_requeued,
-        "all_done": sim.all_done,
-        "sim_time_s": round(env.now, 3),
-        "makespan_s": (round(metrics.makespan_s, 3)
-                       if metrics is not None else None),
+        **_books(env, door, sim, network, engine),
         # election
         "failovers": control.failovers,
         "promotions": control.election.promotions,
@@ -1064,11 +993,9 @@ def run_failover_scenario(seed: int = 0,
         "votes_denied": control.election.votes_denied,
         "stand_downs": control.election.stand_downs,
         "demotions": control.election.demotions,
-        "leader_detect_latency_s": (
-            round(first_onset - partition_start_s, 3)
-            if first_onset is not None else None),
-        "failover_mttr_s": (round(first_promotion - partition_start_s, 3)
-                            if first_promotion is not None else None),
+        "leader_detect_latency_s": _since_cut(first_onset,
+                                              plan["partition"]),
+        "failover_mttr_s": _since_cut(first_promotion, plan["partition"]),
         "lease_suspicions": lease_detector.suspicions,
         "lease_false_suspicions": lease_detector.false_suspicions,
         # journal shipping
@@ -1088,15 +1015,6 @@ def run_failover_scenario(seed: int = 0,
         "old_leader_deposed_at_s": (
             round(control.deposed_at["cp-0"], 3)
             if "cp-0" in control.deposed_at else None),
-        # network ledger
-        "messages_sent": network.sent,
-        "messages_delivered": network.delivered,
-        "messages_blocked": network.blocked,
-        "messages_dropped": network.dropped,
-        "messages_in_flight": network.in_flight,
-        # invariants
-        "invariant_checks": engine.checks,
-        "invariant_violations": engine.violations,
     }
 
 

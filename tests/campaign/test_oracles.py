@@ -3,13 +3,16 @@
 import pytest
 
 from repro.campaign import (
+    CampaignConfig,
     Episode,
     FaultSchedule,
     Oracle,
     OracleStack,
     RunVerdict,
     execute_schedule,
+    generate_schedules,
     merge_metrics,
+    run_campaign,
     standard_oracles,
 )
 
@@ -18,6 +21,11 @@ def quick_schedule(world="partition", seed=3):
     episodes = (Episode(kind="partition", start_s=20.0, end_s=40.0),)
     return FaultSchedule(world=world, seed=seed, sim_budget_s=240.0,
                          episodes=episodes)
+
+
+def root_seed_0_schedule(index):
+    config = CampaignConfig(root_seed=0, n_schedules=index + 1)
+    return generate_schedules(config)[index]
 
 
 class TestStandardOracles:
@@ -63,6 +71,29 @@ class TestExecuteSchedule:
         assert clean.result["split_brain_writes"] == 0
         assert buggy.result["split_brain_writes"] > 0
 
+    def test_extra_kwargs_plant_the_lost_report_bug(self):
+        # Root-seed-0 schedule 0 (partition world) crashes the scheduler
+        # and drops messages; without report retries, a lost completion
+        # report leaves the books open at the budget.
+        schedule = root_seed_0_schedule(0)
+        assert schedule.world == "partition"
+        clean = OracleStack(double_run=False).evaluate(schedule)
+        buggy = OracleStack(
+            double_run=False,
+            extra_world_kwargs={"report_retry": False}).evaluate(schedule)
+        assert clean.passed
+        assert buggy.failures == ("run_completes",)
+
+    def test_latencies_are_measured_from_the_schedules_cut(self):
+        # Schedule 9 cuts the old leader off at 138.241 s; detection and
+        # failover are timed from that cut, not from the classic plan's.
+        schedule = root_seed_0_schedule(9)
+        [cut] = [e for e in schedule.episodes if e.kind == "partition"]
+        assert cut.start_s == 138.241
+        result = execute_schedule(schedule).result
+        assert result["leader_detect_latency_s"] == 1.509
+        assert result["failover_mttr_s"] == 5.543
+
 
 class TestOracleStack:
     def test_clean_partition_schedule_passes(self):
@@ -91,6 +122,18 @@ class TestOracleStack:
         assert not verdict.passed
         assert verdict.failures == ("synthetic",)
         assert verdict.failure_details["synthetic"] == "synthetic failure"
+
+    @pytest.mark.parametrize("name", ["seed", "episodes", "sim_budget_s",
+                                      "invariant_halt", "registry"])
+    def test_extra_kwargs_may_not_override_schedule_fields(self, name):
+        with pytest.raises(ValueError, match=name):
+            OracleStack(extra_world_kwargs={name: 5})
+
+    def test_campaign_rejects_schedule_owned_extra_kwargs(self):
+        config = CampaignConfig(root_seed=0, n_schedules=2,
+                                extra_world_kwargs={"sim_budget_s": 50.0})
+        with pytest.raises(ValueError, match="sim_budget_s"):
+            run_campaign(config)
 
     def test_seeded_fencing_bug_fails_failover_oracles(self):
         schedule = FaultSchedule(

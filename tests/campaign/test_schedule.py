@@ -122,53 +122,6 @@ class TestFaultSchedule:
             world="partition", seed=1, sim_budget_s=60.0,
             episodes=(episode(end=21.0),)).digest()
 
-    def test_world_kwargs_cover_every_knob_explicitly(self):
-        schedule = FaultSchedule(world="partition", seed=9,
-                                 sim_budget_s=120.0)
-        kwargs = schedule.to_world_kwargs()
-        assert kwargs["partition_episodes"] == []
-        assert kwargs["crash_schedule"] == []
-        assert kwargs["gray_spans"] == {"worker": [], "scheduler": []}
-        assert kwargs["loss_episodes"] == []
-        assert kwargs["burst_episodes"] == []
-        assert kwargs["overload_spans"] == []
-        assert kwargs["invariant_halt"] is False
-        assert kwargs["seed"] == 9
-        assert kwargs["sim_budget_s"] == 120.0
-
-    def test_world_kwargs_translate_each_kind(self):
-        schedule = FaultSchedule(
-            world="partition", seed=0, sim_budget_s=300.0,
-            episodes=(
-                episode(start=10.0, end=20.0, direction="inbound"),
-                episode(kind="gray", start=5.0, end=15.0,
-                        role="scheduler"),
-                episode(kind="crash", start=30.0, end=36.0),
-                episode(kind="loss", start=1.0, end=2.0, rate=0.2),
-                episode(kind="burst", start=3.0, end=4.0, fraction=0.5),
-                episode(kind="overload", start=6.0, end=7.0, factor=1.5),
-            ))
-        kwargs = schedule.to_world_kwargs()
-        [cut] = kwargs["partition_episodes"]
-        assert (cut.start_s, cut.end_s, cut.isolate, cut.direction) == \
-            (10.0, 20.0, "minority", "inbound")
-        assert kwargs["gray_spans"] == {"worker": [],
-                                        "scheduler": [(5.0, 15.0)]}
-        assert kwargs["crash_schedule"] == [(30.0, 6.0)]
-        assert kwargs["loss_episodes"] == [(1.0, 2.0, 0.2)]
-        assert kwargs["burst_episodes"] == [(3.0, 4.0, 0.5)]
-        assert kwargs["overload_spans"] == [(6.0, 7.0, 1.5)]
-
-    def test_failover_world_kwargs_target_old_leader(self):
-        schedule = FaultSchedule(
-            world="failover", seed=0, sim_budget_s=300.0,
-            episodes=(episode(start=40.0, end=90.0),
-                      episode(kind="gray", start=35.0, end=80.0)))
-        kwargs = schedule.to_world_kwargs()
-        assert kwargs["partition_episodes"][0].isolate == "old-leader"
-        assert kwargs["gray_spans"] == [(35.0, 80.0)]
-        assert "crash_schedule" not in kwargs
-
 
 class TestEnvelope:
     def test_rejects_unsupported_kind_for_world(self):

@@ -9,6 +9,8 @@ Two halves, matching the two promises the invariant layer makes:
    detects, and localizes, imbalance).
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.faults import (
@@ -77,11 +79,13 @@ def test_network_conservation_holds_under_partition_and_gray(
 def test_composed_scenario_laws_hold_across_fault_grid(
         seed, direction, gray_drop):
     """The full composed stack balances under varied partition/gray knobs."""
-    from repro.faults.chaos import run_partition_scenario
+    from repro.faults.chaos import PARTITION_PLAN, run_partition_scenario
+    episodes = [replace(e, params={"direction": direction})
+                if e.kind == "partition" else e for e in PARTITION_PLAN]
     result = run_partition_scenario(
         seed=seed, n_tasks=16, task_rate_per_s=1.0,
         n_invocations=20, invoke_rate_per_s=2.0,
-        partition_direction=direction, gray_drop_rate=gray_drop)
+        episodes=episodes, gray_drop_rate=gray_drop)
     assert result["invariant_checks"] > 0
     assert result["invariant_violations"] == 0
     assert result["lost"] == 0
