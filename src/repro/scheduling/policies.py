@@ -21,7 +21,15 @@ from repro.workload.task import Task
 
 
 class Policy:
-    """Base: order the ready queue (most-urgent first)."""
+    """Base: order the ready queue (most-urgent first).
+
+    ``order`` returns a *new* list and leaves ``queue`` untouched: the
+    simulator orders the queue once per scheduling pass and deletes each
+    task it starts from that list. Policies that rank by runtime use the
+    same estimate as the simulator and the portfolio predictor,
+    ``runtime_estimate or work`` (a missing or zero estimate falls back
+    to the task's work).
+    """
 
     name = "abstract"
 
@@ -49,8 +57,7 @@ class SJFPolicy(Policy):
 
     def order(self, queue: Sequence[Task], now: float) -> list[Task]:
         return sorted(queue, key=lambda t: (
-            t.runtime_estimate if t.runtime_estimate is not None else t.work,
-            t.task_id))
+            t.runtime_estimate or t.work, t.task_id))
 
 
 class LJFPolicy(Policy):
@@ -60,13 +67,17 @@ class LJFPolicy(Policy):
 
     def order(self, queue: Sequence[Task], now: float) -> list[Task]:
         return sorted(queue, key=lambda t: (
-            -(t.runtime_estimate if t.runtime_estimate is not None
-              else t.work),
-            t.task_id))
+            -(t.runtime_estimate or t.work), t.task_id))
 
 
 class RandomPolicy(Policy):
-    """Uniformly random order — Altshuller's 'random design' baseline."""
+    """Uniformly random order — Altshuller's 'random design' baseline.
+
+    The simulator calls ``order`` once per scheduling pass, so one pass
+    draws one permutation of the ready queue and dispatches in that
+    order; the next pass draws afresh. A seeded generator replays the
+    same schedule run to run.
+    """
 
     name = "random"
 

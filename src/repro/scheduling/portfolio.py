@@ -68,29 +68,38 @@ def predict_objective(policy: Policy,
     pairs. Placement ignores per-machine fragmentation — it is a
     *predictor*, deliberately cheaper than the real simulator.
     """
-    heap = [(finish, cores) for finish, cores in running]
+    # Hot path (one call per policy per decision epoch): pre-bound heap
+    # ops and plain comparisons instead of builtins. Each ``b if b > a
+    # else a`` returns the same float as ``max(a, b)``, ties included.
+    heappop = heapq.heappop
+    heappush = heapq.heappush
+    bound = SLOWDOWN_BOUND_S
+    heap = list(running)
     heapq.heapify(heap)
-    free = total_cores - sum(c for _, c in running)
+    free = total_cores
+    for _, cores in running:
+        free -= cores
     t = now
     total_slowdown = 0.0
-    order = policy.order(list(queued), now)
+    order = policy.order(queued, now)
     for task in order:
         estimate = task.runtime_estimate or task.work
-        while free < task.cores and heap:
-            finish, cores = heapq.heappop(heap)
-            t = max(t, finish)
+        need = task.cores
+        while free < need and heap:
+            finish, cores = heappop(heap)
+            if finish > t:
+                t = finish
             free += cores
-        if free < task.cores:
+        if free < need:
             # Even an empty system cannot host it; treat as unplaceable.
             total_slowdown += 1000.0
             continue
-        start = t
-        free -= task.cores
-        heapq.heappush(heap, (start + estimate, task.cores))
-        response = (start - task.submit_time) + estimate
-        total_slowdown += max(
-            response / max(estimate, SLOWDOWN_BOUND_S), 1.0)
-    return total_slowdown / max(len(order), 1)
+        free -= need
+        heappush(heap, (t + estimate, need))
+        slowdown = ((t - task.submit_time) + estimate) / (
+            bound if bound > estimate else estimate)
+        total_slowdown += 1.0 if 1.0 > slowdown else slowdown
+    return total_slowdown / (len(order) or 1)
 
 
 class PortfolioScheduler:

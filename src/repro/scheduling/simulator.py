@@ -121,6 +121,9 @@ class ClusterSimulator:
         self.finished: list[Task] = []
         self.failed: list[Task] = []
         self.jobs: list[Job] = []
+        #: Submitted workflows by job id, so a completion unlocks its
+        #: successors without scanning every job.
+        self._workflows: dict[int, Workflow] = {}
         #: Optional hook invoked right before each scheduling pass (the
         #: portfolio scheduler uses it to re-select the policy on queue
         #: changes, not just on a timer).
@@ -246,6 +249,9 @@ class ClusterSimulator:
     def submit_jobs(self, jobs: Sequence[Job]) -> None:
         """Register jobs; their tasks arrive at their submit times."""
         self.jobs.extend(jobs)
+        for job in jobs:
+            if isinstance(job, Workflow):
+                self._workflows.setdefault(job.job_id, job)
         self.env.process(self._arrivals(sorted(jobs,
                                                key=lambda j: j.submit_time)))
 
@@ -367,43 +373,44 @@ class ClusterSimulator:
             return  # a dead scheduler dispatches nothing
         if self.pre_schedule is not None and self.ready:
             self.pre_schedule()
-        # Hot loop: pre-bind everything stable across iterations (ready
-        # mutates in place via _start; policy/env never change mid-call).
-        ready = self.ready
+        if not self.ready:
+            return
+        # Order the queue once per pass. No sort key changes inside a
+        # pass (completions and fair-share charges run as their own sim
+        # processes), and each key ends in the unique task id, so deleting
+        # a started task from ``ordered`` leaves exactly the order a
+        # re-sort of ``ready`` would give.
         policy = self.policy
         env = self.env
         first_fit = self._first_fit
         start = self._start
         earliest_head_start = self._earliest_head_start
         allows_backfill = policy.allows_backfill()
-        progress = True
-        while progress:
-            progress = False
-            if not ready:
-                return
-            ordered = policy.order(ready, env.now)
+        ordered = policy.order(self.ready, env.now)
+        while ordered:
             head = ordered[0]
             machine = first_fit(head.cores, head.memory_gb)
             if machine is not None:
                 start(head, machine)
-                progress = True
+                del ordered[0]
                 continue
             if not allows_backfill:
                 return
-            # EASY backfill: run later tasks that fit now and (by
-            # estimate) finish before the head could possibly start.
-            shadow = earliest_head_start(head)
-            window = shadow - env.now
-            for task in ordered[1:]:
-                estimate = task.runtime_estimate or task.work
-                if estimate > window:
+            # EASY backfill: run a later task that fits now and (by
+            # estimate) finishes before the head could possibly start.
+            # A backfill changes the free capacity the shadow is computed
+            # from, so the shadow and the scan are redone after each one.
+            window = earliest_head_start(head) - env.now
+            for i in range(1, len(ordered)):
+                task = ordered[i]
+                if (task.runtime_estimate or task.work) > window:
                     continue
                 machine = first_fit(task.cores, task.memory_gb)
                 if machine is not None:
                     start(task, machine)
-                    progress = True
+                    del ordered[i]
                     break
-            if not progress:
+            else:
                 return
 
     def _start(self, task: Task, machine: Machine) -> None:
@@ -733,14 +740,13 @@ class ClusterSimulator:
         if isinstance(self.policy, FairSharePolicy):
             self.policy.charge(task.user, task.cores * runtime)
         # Unlock workflow successors.
-        for job in self.jobs:
-            if isinstance(job, Workflow) and job.job_id == task.job_id:
-                for succ in job.ready_tasks():
-                    if succ not in self.ready:
-                        self.ready.append(succ)
-                        self.submitted += 1
-                        self._journal("submit", succ)
-                break
+        workflow = self._workflows.get(task.job_id)
+        if workflow is not None:
+            for succ in workflow.ready_tasks():
+                if succ not in self.ready:
+                    self.ready.append(succ)
+                    self.submitted += 1
+                    self._journal("submit", succ)
 
     # -- metrics --------------------------------------------------------------
     def metrics(self) -> ScheduleMetrics:

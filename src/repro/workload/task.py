@@ -19,12 +19,16 @@ class TaskState(enum.Enum):
     FAILED = "failed"
 
 
-@dataclass
+@dataclass(eq=False)
 class Task:
     """One schedulable unit of computation.
 
     ``work`` is in normalized work units; a machine of speed ``s`` runs it
     in ``work / s`` seconds.
+
+    Tasks compare (and hash) by identity: each object is one unit of work
+    with its own id, so ``queue.remove(task)`` and ``task in queue`` are
+    identity checks, never field-by-field compares.
     """
 
     work: float

@@ -5,16 +5,18 @@ import pytest
 from repro.cluster import Cluster
 from repro.scheduling import (
     BackfillPolicy,
+    ClusterSimulator,
     FCFSPolicy,
     FairSharePolicy,
     LJFPolicy,
     POLICIES,
     RandomPolicy,
+    PortfolioScheduler,
     SJFPolicy,
     simulate_schedule,
 )
 from repro.scheduling.policies import make_policy
-from repro.sim import RandomStreams
+from repro.sim import Environment, RandomStreams
 from repro.workload import BagOfTasks, Task, Workflow
 
 
@@ -73,6 +75,18 @@ class TestPolicyOrdering:
     def test_make_policy_unknown(self):
         with pytest.raises(KeyError):
             make_policy("galaxy-brain")
+
+    def test_zero_estimate_ranks_by_work(self):
+        """A 0.0 estimate falls back to work, as in the predictor and the
+        backfill window: it ranks where an estimate equal to work would."""
+        zero = Task(work=50)
+        zero.runtime_estimate = 0.0
+        unknown = Task(work=20)
+        mid = Task(work=1)
+        mid.runtime_estimate = 30.0
+        queue = [zero, unknown, mid]
+        assert SJFPolicy().order(queue, now=0) == [unknown, mid, zero]
+        assert LJFPolicy().order(queue, now=0) == [zero, mid, unknown]
 
     def test_registry_complete(self):
         assert set(POLICIES) == {"fcfs", "sjf", "ljf", "random",
@@ -182,3 +196,169 @@ class TestSimulator:
         light_task = light.tasks[0]
         heavy_finishes = sorted(t.finish_time for t in heavy.tasks)
         assert light_task.start_time < heavy_finishes[-1]
+
+
+class _Recording(ClusterSimulator):
+    """Logs every dispatch as (time, task ordinal, machine)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.dispatches = []
+        self.ordinals = {}
+
+    def _start(self, task, machine):
+        ordinal = self.ordinals.setdefault(task.task_id, len(self.ordinals))
+        self.dispatches.append((self.env.now, ordinal, machine.name))
+        super()._start(task, machine)
+
+
+class _Resorting(_Recording):
+    """The pass as first written: re-sort the whole queue after every
+    dispatch. The reference the order-once pass must reproduce."""
+
+    def _try_schedule(self):
+        if self._crashed:
+            return
+        if self.pre_schedule is not None and self.ready:
+            self.pre_schedule()
+        progress = True
+        while progress:
+            progress = False
+            if not self.ready:
+                return
+            ordered = self.policy.order(self.ready, self.env.now)
+            head = ordered[0]
+            machine = self._first_fit(head.cores, head.memory_gb)
+            if machine is not None:
+                self._start(head, machine)
+                progress = True
+                continue
+            if not self.policy.allows_backfill():
+                return
+            window = self._earliest_head_start(head) - self.env.now
+            for task in ordered[1:]:
+                if (task.runtime_estimate or task.work) > window:
+                    continue
+                machine = self._first_fit(task.cores, task.memory_gb)
+                if machine is not None:
+                    self._start(task, machine)
+                    progress = True
+                    break
+
+
+def _random_jobs(seed):
+    rng = RandomStreams(seed=seed).get("order-once")
+    jobs = []
+    for j in range(4):
+        tasks = []
+        for _ in range(int(rng.integers(3, 12))):
+            work = float(rng.uniform(5, 300))
+            task = Task(work=work, cores=int(rng.integers(1, 5)))
+            task.runtime_estimate = rng.choice(
+                [None, 0.0, work, work * float(rng.uniform(0.3, 3.0))])
+            tasks.append(task)
+        submit = float(rng.uniform(0, 400))
+        if j == 3:
+            edges = [(tasks[i].task_id, tasks[i + 1].task_id)
+                     for i in range(0, len(tasks) - 1, 2)]
+            jobs.append(Workflow(tasks, edges, submit_time=submit))
+        else:
+            jobs.append(BagOfTasks(tasks, submit_time=submit,
+                                   user=f"u{j % 2}"))
+    return jobs
+
+
+def _dispatches(sim_cls, seed, policy_name, portfolio=False):
+    env = Environment()
+    sim = sim_cls(env, Cluster.homogeneous("c", 3, cores=4),
+                  make_policy(policy_name))
+    if portfolio:
+        PortfolioScheduler(env, sim, [make_policy(n) for n in
+                                      ("fcfs", "sjf", "ljf", "backfill")])
+    sim.submit_jobs(_random_jobs(seed))
+    env.run()
+    return sim.dispatches
+
+
+class TestOrderOncePerPass:
+    @pytest.mark.parametrize("policy", ["fcfs", "sjf", "ljf", "fair-share",
+                                        "backfill"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_dispatches_as_resorting_loop(self, policy, seed):
+        assert (_dispatches(_Recording, seed, policy)
+                == _dispatches(_Resorting, seed, policy))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_portfolio_same_dispatches_as_resorting_loop(self, seed):
+        assert (_dispatches(_Recording, seed, "fcfs", portfolio=True)
+                == _dispatches(_Resorting, seed, "fcfs", portfolio=True))
+
+    @pytest.mark.parametrize("base", [FCFSPolicy, BackfillPolicy])
+    def test_one_order_call_per_pass(self, base):
+        class Counting(base):
+            calls = 0
+
+            def order(self, queue, now):
+                self.calls += 1
+                return super().order(queue, now)
+
+        policy = Counting()
+        env = Environment()
+        sim = ClusterSimulator(env, Cluster.homogeneous("c", 2, cores=4),
+                               policy)
+        passes = []
+        original = sim._try_schedule
+
+        def counted():
+            had_ready, before = bool(sim.ready), policy.calls
+            started_before = len(sim.running)
+            original()
+            passes.append((had_ready, policy.calls - before,
+                           len(sim.running) - started_before))
+
+        sim._try_schedule = counted
+        sim.submit_jobs(_random_jobs(3))
+        env.run()
+        assert passes
+        assert all(calls == (1 if had_ready else 0)
+                   for had_ready, calls, _ in passes)
+        # Some passes start several tasks off that single order() call.
+        assert max(started for _, _, started in passes) > 1
+
+    def test_fragmented_cluster_head_blocks_backfill(self):
+        """Free cores cover the head, yet no machine holds it: the shadow
+        is now, the window is empty, and nothing backfills."""
+        def run(sim_cls):
+            env = Environment()
+            sim = sim_cls(env, Cluster.homogeneous("c", 2, cores=4),
+                          BackfillPolicy())
+            tasks = [Task(work=100, cores=3), Task(work=200, cores=3),
+                     Task(work=50, cores=2), Task(work=5, cores=1)]
+            for task in tasks:
+                task.runtime_estimate = task.work
+            sim.submit_jobs([BagOfTasks(tasks[:2], submit_time=0),
+                             BagOfTasks([tasks[2]], submit_time=1),
+                             BagOfTasks([tasks[3]], submit_time=2)])
+            env.run()
+            return sim.dispatches, tasks
+
+        dispatches, tasks = run(_Recording)
+        assert dispatches == run(_Resorting)[0]
+        blocker, _, head, small = tasks
+        assert head.start_time == small.start_time == blocker.finish_time
+
+
+class TestRandomPolicySimulation:
+    def test_seeded_run_is_reproducible(self):
+        def run():
+            env = Environment()
+            sim = _Recording(env, Cluster.homogeneous("c", 3, cores=4),
+                             make_policy("random",
+                                         RandomStreams(seed=5).get("r")))
+            sim.submit_jobs(_random_jobs(1))
+            env.run()
+            return sim.dispatches
+
+        first = run()
+        assert len(first) > 10
+        assert first == run()

@@ -1,11 +1,16 @@
 """Tests for the portfolio scheduler and the Table 9 experiments."""
 
+import heapq
+import struct
+
 import pytest
 
 from repro.cluster import Cluster
 from repro.scheduling import (
+    BackfillPolicy,
     ClusterSimulator,
     ENVIRONMENTS,
+    FairSharePolicy,
     FCFSPolicy,
     LJFPolicy,
     PortfolioConfig,
@@ -15,6 +20,7 @@ from repro.scheduling import (
 )
 from repro.scheduling.experiments import rescale_to_load, run_portfolio, run_static
 from repro.scheduling.portfolio import predict_objective
+from repro.scheduling.simulator import SLOWDOWN_BOUND_S
 from repro.sim import Environment, RandomStreams
 from repro.workload import BagOfTasks, Task
 
@@ -54,6 +60,103 @@ class TestPredictObjective:
         t.runtime_estimate = 10
         score = predict_objective(FCFSPolicy(), [t], [], 8, now=0)
         assert score >= 1000.0
+
+
+def _oracle_objective(policy, queued, running, total_cores, now):
+    """The original formulation of :func:`predict_objective`, kept as the
+    reference the optimized one must match bit for bit."""
+    heap = [(finish, cores) for finish, cores in running]
+    heapq.heapify(heap)
+    free = total_cores - sum(c for _, c in running)
+    t = now
+    total_slowdown = 0.0
+    order = policy.order(list(queued), now)
+    for task in order:
+        estimate = task.runtime_estimate or task.work
+        while free < task.cores and heap:
+            finish, cores = heapq.heappop(heap)
+            t = max(t, finish)
+            free += cores
+        if free < task.cores:
+            total_slowdown += 1000.0
+            continue
+        start = t
+        free -= task.cores
+        heapq.heappush(heap, (start + estimate, task.cores))
+        response = (start - task.submit_time) + estimate
+        total_slowdown += max(
+            response / max(estimate, SLOWDOWN_BOUND_S), 1.0)
+    return total_slowdown / max(len(order), 1)
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def _random_state(rng, now):
+    """A queue and running set built to hit every tie ``max`` resolves:
+    estimates equal to the slowdown bound, responses equal to their
+    estimate (submitted now, started now), and releases exactly at now."""
+    total_cores = int(rng.integers(4, 33))
+    queued = []
+    for _ in range(int(rng.integers(0, 40))):
+        work = float(rng.choice([SLOWDOWN_BOUND_S, 1.0, 25.0,
+                                 float(rng.uniform(0.5, 500.0))]))
+        task = Task(work=work, cores=int(rng.integers(1, total_cores + 3)),
+                    submit_time=float(rng.choice(
+                        [now, now - 10.0, float(rng.uniform(0.0, now))])))
+        task.runtime_estimate = rng.choice(
+            [None, 0.0, SLOWDOWN_BOUND_S, work, float(rng.uniform(1, 300))])
+        queued.append(task)
+    running = []
+    busy = 0
+    while busy < total_cores and rng.random() < 0.8:
+        cores = int(rng.integers(1, total_cores - busy + 1))
+        finish = float(rng.choice(
+            [now, now + SLOWDOWN_BOUND_S, float(rng.uniform(now - 5, now + 400))]))
+        running.append((finish, cores))
+        busy += cores
+    return queued, running, total_cores
+
+
+class TestPredictObjectiveOracle:
+    """The optimized predictor returns the original formulation's float."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_original_formulation(self, seed):
+        rng = RandomStreams(seed=seed).get("predict-oracle")
+        now = float(rng.choice([0.0, 300.0, float(rng.uniform(10, 5000))]))
+        queued, running, total_cores = _random_state(rng, now)
+        snapshot = list(queued)
+        for make in (FCFSPolicy, SJFPolicy, LJFPolicy, BackfillPolicy,
+                     FairSharePolicy):
+            got = predict_objective(make(), queued, running, total_cores, now)
+            want = _oracle_objective(make(), queued, running, total_cores,
+                                     now)
+            assert _bits(got) == _bits(want), (make.name, got, want)
+        # order() hands back a new list; the caller's queue is untouched.
+        assert all(a is b for a, b in zip(queued, snapshot))
+        assert len(queued) == len(snapshot)
+
+    def test_forced_ties(self):
+        # One task submitted now with estimate == the bound, on an idle
+        # system: response / estimate is exactly 1.0.
+        task = Task(work=SLOWDOWN_BOUND_S, submit_time=5.0)
+        task.runtime_estimate = SLOWDOWN_BOUND_S
+        assert predict_objective(FCFSPolicy(), [task], [], 1, 5.0) == 1.0
+        # A release exactly at now: max(t, finish) ties.
+        busy = [(5.0, 1)]
+        assert _bits(predict_objective(FCFSPolicy(), [task], busy, 1, 5.0)) \
+            == _bits(_oracle_objective(FCFSPolicy(), [task], busy, 1, 5.0))
+
+    def test_zero_estimate_predicts_like_work(self):
+        def one(estimate):
+            task = Task(work=40.0, submit_time=0.0)
+            task.runtime_estimate = estimate
+            return predict_objective(FCFSPolicy(), [task], [(30.0, 1)], 1,
+                                     0.0)
+
+        assert one(0.0) == one(None) == one(40.0)
 
 
 class TestPortfolioScheduler:

@@ -26,6 +26,16 @@ class TestTask:
     def test_unique_ids(self):
         assert Task(work=1).task_id != Task(work=1).task_id
 
+    def test_compares_by_identity(self):
+        a = Task(work=1, task_id=7)
+        b = Task(work=1, task_id=7)
+        assert a != b and a is not b
+        assert len({a, b}) == 2
+        ready = [a, b]
+        ready.remove(b)
+        assert len(ready) == 1 and ready[0] is a
+        assert b not in ready
+
 
 class TestBagOfTasks:
     def test_submit_time_propagates(self):
