@@ -17,10 +17,21 @@ standby's believed-state replica warm, so promotion replays nothing.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from operator import attrgetter
 from typing import Callable, Iterable, Optional
 
 from repro.recovery.journal import Journal, JournalRecord
 from repro.sim import Environment, Monitor, Network
+
+_seq = attrgetter("seq")
+
+
+def _first_unacked(durable: list[JournalRecord], acked: int) -> int:
+    """Index of the first durable record past the cumulative ``acked``
+    seq. Seqs strictly increase, so the unacked records are the suffix
+    from there."""
+    return bisect_right(durable, acked, key=_seq)
 
 
 class JournalReplicator:
@@ -85,7 +96,8 @@ class JournalReplicator:
     def lag_of(self, node: str, now: Optional[float] = None) -> int:
         """Durable records the leader holds that ``node`` has not acked."""
         durable = self.journal.durable_records(now)
-        return sum(1 for r in durable if r.seq > self.acked.get(node, -1))
+        return len(durable) - _first_unacked(durable,
+                                             self.acked.get(node, -1))
 
     def _count(self, name: str, **kw) -> None:
         if self.monitor is not None:
@@ -97,7 +109,8 @@ class JournalReplicator:
             durable = self.journal.durable_records(self.env.now)
             for standby in self.standbys:
                 acked = self.acked[standby]
-                window = [r for r in durable if r.seq > acked][:self.batch]
+                first = _first_unacked(durable, acked)
+                window = durable[first:first + self.batch]
                 if not window:
                     continue
                 self.batches += 1

@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 from bisect import insort
 from collections import deque
+from itertools import repeat
+from operator import sub
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -35,6 +37,47 @@ _SQRT2 = math.sqrt(2.0)
 
 #: Cap on phi so that an underflowing tail probability stays finite.
 PHI_MAX = 300.0
+
+#: An ``erfc`` argument whose tail probability underflows to 0, so
+#: :func:`_phi_of` is ``PHI_MAX`` there.
+_X_UNDERFLOW = 40.0
+
+
+def _phi_of(x: float) -> float:
+    """Phi of a normalized lateness ``x = (elapsed - mean) / (std*sqrt2)``;
+    monotone non-decreasing in ``x``."""
+    p_late = 0.5 * math.erfc(x)
+    if p_late <= 0.0:
+        return PHI_MAX
+    return min(-math.log10(p_late), PHI_MAX)
+
+
+def _calm_margin(threshold: float, min_std_s: float) -> float:
+    """How long past a key's window mean phi provably stays below
+    ``threshold``, whatever the window holds.
+
+    The guarded std is never below ``min_std_s``, so until ``elapsed -
+    mean`` reaches ``x_lo * sqrt2 * min_std_s`` the erfc argument stays
+    at or below ``x_lo``, the largest argument (found by bisection over
+    :func:`_phi_of` itself) whose phi is below ``threshold``. The
+    ``1e-6`` relative slack dwarfs float rounding at sim times up to
+    1e3 s. ``-inf`` turns the horizon off: no positive std floor, or
+    phi already at the threshold on time.
+    """
+    if min_std_s <= 0 or _phi_of(0.0) >= threshold:
+        return -math.inf
+    if threshold > PHI_MAX:
+        return math.inf
+    lo, hi = 0.0, _X_UNDERFLOW
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if _phi_of(mid) < threshold:
+            lo = mid
+        else:
+            hi = mid
+    return lo * (1.0 - 1e-6) * _SQRT2 * min_std_s
 
 
 class HeartbeatEmitter:
@@ -175,9 +218,11 @@ class PhiAccrualDetector:
         self._last: dict[Any, float] = {}
         #: Real (non-primed) heartbeats observed per key.
         self._observed: dict[Any, int] = {}
-        #: Cached :meth:`_window_stats` per key. Only :meth:`heartbeat`
-        #: changes a window or an observed count, so it drops the entry.
-        self._stats: dict[Any, tuple[float, float]] = {}
+        #: Sim time before which phi of a key is provably below the
+        #: threshold (window mean + :func:`_calm_margin` past its last
+        #: heartbeat), so :meth:`is_suspect` need not compute it.
+        self._calm_until: dict[Any, float] = {}
+        self._calm_margin = _calm_margin(threshold, min_std_s)
         #: Registered keys sorted by ``str`` (ties in registration order):
         #: the order :meth:`_poll` evaluates them in.
         self._poll_order: list[Any] = []
@@ -209,6 +254,8 @@ class PhiAccrualDetector:
                                          maxlen=self.window)
             self._last[key] = self.env.now
             self._observed[key] = 0
+            self._calm_until[key] = (self.env.now + expected_interval_s
+                                     + self._calm_margin)
             insort(self._poll_order, key, key=str)
 
     def heartbeat(self, key: Any) -> None:
@@ -217,10 +264,12 @@ class PhiAccrualDetector:
             raise KeyError(f"unregistered heartbeat source {key!r}")
         now = self.env.now
         self.heartbeats += 1
-        self._intervals[key].append(now - self._last[key])
+        window = self._intervals[key]
+        window.append(now - self._last[key])
         self._last[key] = now
         self._observed[key] = self._observed.get(key, 0) + 1
-        self._stats.pop(key, None)
+        self._calm_until[key] = (now + sum(window) / len(window)
+                                 + self._calm_margin)
         onset = self._suspected_at.pop(key, None)
         self._suspect_reasons.pop(key, None)
         if onset is not None:
@@ -241,13 +290,12 @@ class PhiAccrualDetector:
         ``min_samples``, so it delays early suspicion without ever
         preventing it.
         """
-        stats = self._stats.get(key)
-        if stats is not None:
-            return stats
         samples = self._intervals[key]
-        mean = sum(samples) / len(samples)
-        if len(samples) > 1:
-            var = sum((s - mean) ** 2 for s in samples) / (len(samples) - 1)
+        n = len(samples)
+        mean = sum(samples) / n
+        if n > 1:
+            var = sum(map(pow, map(sub, samples, repeat(mean)),
+                          repeat(2))) / (n - 1)
             std = max(math.sqrt(var), self.min_std_s)
         else:
             std = max(self.min_std_s, 0.1 * mean)
@@ -255,17 +303,13 @@ class PhiAccrualDetector:
         if observed < self.min_samples:
             decay = (self.min_samples - observed) / self.min_samples
             std = max(std, self.PRIME_STD_FACTOR * mean * decay)
-        stats = self._stats[key] = (mean, std)
-        return stats
+        return mean, std
 
     def phi(self, key: Any) -> float:
         """Current suspicion level of ``key`` (0 = just heard from it)."""
         elapsed = self.env.now - self._last[key]
         mean, std = self._window_stats(key)
-        p_late = 0.5 * math.erfc((elapsed - mean) / (std * _SQRT2))
-        if p_late <= 0.0:
-            return PHI_MAX
-        return min(-math.log10(p_late), PHI_MAX)
+        return _phi_of((elapsed - mean) / (std * _SQRT2))
 
     def _classify(self, key: Any) -> str:
         """Why phi crossed the threshold: ``"silence"`` or ``"variance"``.
@@ -285,7 +329,11 @@ class PhiAccrualDetector:
 
     def is_suspect(self, key: Any) -> bool:
         """Whether ``key`` is currently suspected (recording the onset)."""
-        if key not in self._intervals:
+        calm_until = self._calm_until.get(key)
+        if calm_until is None or self.env.now < calm_until:
+            # Unregistered, or phi provably below the threshold. A
+            # suspicion only starts past the horizon and a heartbeat both
+            # clears it and moves the horizon, so none stands here.
             return False
         if key in self._suspected_at:
             return True

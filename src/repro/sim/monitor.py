@@ -152,7 +152,14 @@ class Monitor:
         series.record(time, value)
 
     def count(self, name: str, key: Any = None, amount: int = 1) -> None:
-        self._counter(name).incr(key, amount)
+        # Counter.incr inlined: this is the hottest instrumentation call.
+        counter = self.counters.get(name)
+        if counter is None:
+            counter = self._counter(name)
+        counter.total += amount
+        if key is not None:
+            by_key = counter.by_key
+            by_key[key] = by_key.get(key, 0) + amount
 
     def __getitem__(self, name: str) -> TimeSeries:
         return self.series[name]

@@ -1,5 +1,7 @@
 """Tests for conservation-law terms, evaluation, and violation reports."""
 
+import random
+
 import pytest
 
 from repro.invariants import (
@@ -122,3 +124,72 @@ class TestConservationLaw:
         books["out"] = 1
         with pytest.raises(InvariantViolation):
             law.check()
+
+
+def reference_check(law, time=0.0, seed=None):
+    """The evaluate-then-sum formulation: the violation ``check`` must
+    raise, or ``None`` where it must pass."""
+    lhs_values, rhs_values = law.evaluate()
+    lhs_total = sum(v for _, v in lhs_values)
+    rhs_total = sum(v for _, v in rhs_values)
+    if abs(lhs_total - rhs_total) > law.tol:
+        return InvariantViolation(law, time, lhs_values, rhs_values,
+                                  seed=seed)
+    return None
+
+
+def assert_check_matches_reference(law, time=0.0, seed=None):
+    expected = reference_check(law, time, seed)
+    checks, violations = law.checks, law.violations
+    if expected is None:
+        law.check(time=time, seed=seed)
+        assert law.violations == violations
+    else:
+        with pytest.raises(InvariantViolation) as excinfo:
+            law.check(time=time, seed=seed)
+        v = excinfo.value
+        assert str(v) == str(expected)
+        assert v.delta == expected.delta
+        assert v.lhs_total == expected.lhs_total
+        assert v.rhs_total == expected.rhs_total
+        assert v.lhs_values == expected.lhs_values
+        assert v.rhs_values == expected.rhs_values
+        assert law.violations == violations + 1
+    assert law.checks == checks + 1
+    return expected is not None
+
+
+class TestCheckMatchesEvaluateThenSum:
+    @pytest.mark.parametrize("lhs, rhs, raises", [
+        ([0.1, 0.2], [0.3], True),            # 0.30000000000000004
+        ([0.1, 0.2, 0.3], [0.6], True),       # 0.6000000000000001
+        ([0.3, 0.2, 0.1], [0.6], False),      # same terms, other order
+        ([0.1, 0.2, 0.3], [0.3, 0.2, 0.1], True),
+        ([1e16, 1.0, -1e16], [0.0], False),   # the 1.0 is absorbed
+        ([1e16, -1e16, 1.0], [0.0], True),
+    ])
+    def test_non_associative_float_terms(self, lhs, rhs, raises):
+        law = ConservationLaw(
+            "float.books", tol=0.0,
+            lhs=[Term(f"l{i}", lambda v=v: v) for i, v in enumerate(lhs)],
+            rhs=[Term(f"r{i}", lambda v=v: v) for i, v in enumerate(rhs)])
+        assert assert_check_matches_reference(law, time=3.5, seed=9) is raises
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_laws(self, seed):
+        rng = random.Random(seed)
+        pool = [0.1, 0.2, 0.3, 0.7, 1e-9, 1e16, -1e16, 1, 3, True]
+        tols = [0.0, 1e-17, 1e-6, 0.5]
+        raised = passed = 0
+        for i in range(300):
+            def terms(side):
+                return [Term(f"{side}{j}", lambda v=rng.choice(pool): v)
+                        for j in range(rng.randint(1, 4))]
+            law = ConservationLaw(f"law{i}", lhs=terms("l"), rhs=terms("r"),
+                                  tol=rng.choice(tols))
+            if assert_check_matches_reference(law, time=float(i),
+                                              seed=rng.choice([None, i])):
+                raised += 1
+            else:
+                passed += 1
+        assert raised > 0 and passed > 0

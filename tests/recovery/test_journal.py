@@ -3,7 +3,7 @@
 import pytest
 
 from repro.recovery import Journal
-from repro.sim import Environment
+from repro.sim import Environment, RandomStreams
 
 
 class TestAppendDurability:
@@ -73,3 +73,45 @@ class TestTruncation:
         assert journal.truncate(last.seq) == 5
         assert len(journal) == 0
         assert journal.replay() == []
+
+
+class TestDurablePrefixMatchesScan:
+    @pytest.mark.parametrize("append_cost_s", [0.0, 0.002, 0.5])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_append_truncate_sequences(self, append_cost_s, seed):
+        """``durable_records(now)`` equals the full scan for ``now`` in
+        the past, the present and the future, across appends at equal
+        and increasing times and truncations below, inside and past the
+        live records."""
+        env = Environment()
+        journal = Journal(env, append_cost_s=append_cost_s,
+                          replay_cost_per_record_s=0.01)
+        rng = RandomStreams(seed).get("journal-ops")
+        probes = 0
+        for _ in range(300):
+            op = int(rng.integers(8))
+            if op <= 2:
+                for _ in range(int(rng.integers(1, 4))):
+                    journal.append("e")
+            elif op == 3:
+                gap = float(rng.choice([0.001, append_cost_s, 0.3]))
+                if gap > 0:
+                    env.run(until=env.now + gap)
+            elif op == 4 and journal.records:
+                seqs = [r.seq for r in journal.records]
+                journal.truncate(int(rng.integers(seqs[0] - 2,
+                                                  seqs[-1] + 2)))
+            nows = [None, env.now, env.now - 0.4, env.now + 0.4,
+                    env.now + append_cost_s,
+                    env.now + float(rng.uniform(-1.0, 1.0))]
+            if journal.records:
+                record = journal.records[int(rng.integers(
+                    len(journal.records)))]
+                nows.append(record.durable_at)
+            for now in nows:
+                at = env.now if now is None else now
+                expected = [r for r in journal.records if r.durable_at <= at]
+                assert journal.durable_records(now) == expected
+                assert journal.replay_time_s(now) == 0.01 * len(expected)
+                probes += 1
+        assert journal.truncations > 0 and probes > 0

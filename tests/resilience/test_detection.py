@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.resilience import PHI_MAX, HeartbeatEmitter, PhiAccrualDetector
+from repro.resilience.detection import _phi_of
 from repro.sim import Environment, RandomStreams
 
 
@@ -355,3 +356,138 @@ def test_cached_stats_match_uncached_reference(seed):
     assert max(beats.values()) > cached.window
     assert suspected_beats > 0 and guarded_beats > 0
     assert cached.suspicions > 0
+
+
+class NoHorizonDetector(PhiAccrualDetector):
+    """The detector without its calm horizon: ``is_suspect`` evaluates
+    phi on every call, the reference the horizon must never disagree
+    with."""
+
+    def is_suspect(self, key):
+        if key not in self._intervals:
+            return False
+        if key in self._suspected_at:
+            return True
+        if self.phi(key) >= self.threshold:
+            reason = self._classify(key)
+            self._suspected_at[key] = self.env.now
+            self._suspect_reasons[key] = reason
+            self.suspicions += 1
+            self.suspicions_by_reason[reason] += 1
+            self.suspicion_log.append((key, self.env.now, reason))
+            return True
+        return False
+
+
+class CountingDetector(PhiAccrualDetector):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.phi_calls = 0
+
+    def phi(self, key):
+        self.phi_calls += 1
+        return super().phi(key)
+
+
+class CountingNoHorizonDetector(NoHorizonDetector, CountingDetector):
+    pass
+
+
+HORIZON_THRESHOLDS = (0.2, 1.0, 4.0, 8.0, 400.0)
+HORIZON_MIN_STDS = (0.0, 0.05, 0.1)
+
+
+@pytest.mark.parametrize("threshold", HORIZON_THRESHOLDS)
+@pytest.mark.parametrize("min_std_s", HORIZON_MIN_STDS)
+@pytest.mark.parametrize("seed", range(3))
+def test_calm_horizon_matches_always_phi_reference(threshold, min_std_s,
+                                                   seed):
+    """Seeded beat and probe processes, with probes that land within
+    1e-3 s either side of a key's calm horizon; every probe of every key
+    must agree with a detector that always computes phi.
+
+    Most beats keep their key's rhythm to within 2%, so windows settle
+    at the ``min_std_s`` floor, where the horizon is tightest; now and
+    then a beat comes early or a key falls silent."""
+    env = Environment()
+    kwargs = dict(threshold=threshold, window=4, min_samples=3,
+                  min_std_s=min_std_s)
+    fast = CountingDetector(env, **kwargs)
+    reference = CountingNoHorizonDetector(env, **kwargs)
+    rng = RandomStreams(seed).get("horizon-ops")
+    keys: list[str] = []
+    near = {"before": 0, "tight": 0}
+
+    def probe_all():
+        for key in keys:
+            assert fast.is_suspect(key) == reference.is_suspect(key)
+            assert fast.suspect_reason(key) == reference.suspect_reason(key)
+
+    def beater(key, interval, mute_s=0.0):
+        yield env.timeout(float(rng.uniform(0.0, 3.0)))
+        fast.register(key, interval)
+        reference.register(key, interval)
+        keys.append(key)
+        env.process(prober(key))
+        if mute_s:
+            # Silent from registration: judged on the primed window.
+            yield env.timeout(mute_s)
+        while True:
+            draw = float(rng.random())
+            if draw < 0.1:
+                gap = interval * float(rng.uniform(2.0, 8.0))
+            elif draw < 0.13:
+                gap = interval * float(rng.uniform(0.3, 1.0))
+            else:
+                gap = interval * (1.0 + 0.02 * float(rng.uniform(-1, 1)))
+            yield env.timeout(gap)
+            fast.heartbeat(key)
+            reference.heartbeat(key)
+            probe_all()
+
+    def prober(key):
+        """Probe ``key`` just before or after its current horizon; a
+        beat that lands first moves the horizon past the probe."""
+        while True:
+            target = fast._calm_until[key] + float(rng.uniform(-1e-3, 1e-3))
+            if not env.now < target < math.inf:
+                yield env.timeout(float(rng.exponential(0.5)))
+                probe_all()
+                continue
+            yield env.timeout(target - env.now)
+            if env.now < fast._calm_until[key]:
+                near["before"] += 1
+            elif fast.suspected_at(key) is None:
+                probe_all()
+                near["tight"] += fast.suspected_at(key) == env.now
+            probe_all()
+
+    for i, interval in enumerate((0.5, 1.0, 2.0)):
+        env.process(beater(f"k{i}", interval))
+    env.process(beater("late", 1.0, mute_s=30.0))
+    env.run(until=150.0)
+    assert fast.suspicion_log == reference.suspicion_log
+    assert fast.suspicions_by_reason == reference.suspicions_by_reason
+    assert fast.false_suspicions == reference.false_suspicions
+    assert reference.phi_calls > 0
+    if math.isfinite(fast._calm_margin):
+        # The horizon was probed from both sides, was at times the very
+        # point where phi crosses the threshold, and saved phi calls.
+        assert near["before"] > 0 and near["tight"] > 0
+        assert fast.phi_calls < reference.phi_calls
+
+
+@pytest.mark.parametrize("threshold", HORIZON_THRESHOLDS)
+@pytest.mark.parametrize("min_std_s", HORIZON_MIN_STDS)
+def test_calm_margin_is_tight_below_the_threshold(threshold, min_std_s):
+    margin = PhiAccrualDetector(Environment(), threshold=threshold,
+                                min_std_s=min_std_s)._calm_margin
+    if min_std_s <= 0 or _phi_of(0.0) >= threshold:
+        assert margin == -math.inf
+    elif threshold > PHI_MAX:
+        assert margin == math.inf
+    else:
+        x = margin / (math.sqrt(2.0) * min_std_s)
+        assert _phi_of(x) < threshold
+        # Only the 1e-6 slack separates the margin from the threshold.
+        assert _phi_of(x / (1.0 - 2e-6)) >= threshold

@@ -132,6 +132,39 @@ class TestMonitorCounter:
         assert mon.counters["events"].total == 3
         assert "events" in mon
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_count_matches_counter_incr(self, seed):
+        """``count`` creates counters lazily in first-use order and books
+        exactly what ``_counter(name).incr(key, amount)`` books."""
+        fast = Monitor(namespace="ns", ordinal_time=True)
+        ref = Monitor(namespace="ns", ordinal_time=True)
+        rng = RandomStreams(seed).get("monitor-ops")
+        names = ["sent", "drops:n1", "drops:n2", "acks", "late"]
+        keys = [None, "a", 2, ("t", 1)]
+        for _ in range(200):
+            name = names[int(rng.integers(len(names)))]
+            if int(rng.integers(6)) == 0:
+                fast.record(f"{name}_s", 1.0)
+                ref.record(f"{name}_s", 1.0)
+                continue
+            key = keys[int(rng.integers(len(keys)))]
+            amount = int(rng.choice([0, 1, 1, 3]))
+            if amount == 1 and int(rng.integers(2)):
+                fast.count(name, key)          # the default amount
+            else:
+                fast.count(name, key=key, amount=amount)
+            ref._counter(name).incr(key, amount)
+        assert list(fast.counters) == list(ref.counters)
+        assert list(fast.registry._metrics) == list(ref.registry._metrics)
+        assert fast.registry.snapshot() == ref.registry.snapshot()
+        for name, counter in fast.counters.items():
+            expected = ref.counters[name]
+            assert counter.total == expected.total
+            assert list(counter.by_key.items()) == list(
+                expected.by_key.items())
+            assert None not in counter.by_key
+            assert fast.registry.get(*fast._registry_key(name)) is counter
+
 
 class TestSummarize:
     def test_empty(self):
