@@ -170,12 +170,22 @@ class NetworkPartitionModel:
 
     # -- Network model protocol --------------------------------------------
     def blocks(self, src: str, dst: str) -> bool:
+        # ``src``/``dst`` arrive as registered node names (strings), so
+        # no str() coercion; :meth:`PartitionEpisode.severs`, inlined.
         now = self.env.now
-        src_group = self._group_of.get(str(src))
-        dst_group = self._group_of.get(str(dst))
+        group_of = self._group_of
+        src_group = group_of.get(src)
+        dst_group = group_of.get(dst)
         for episode in self.episodes:
-            group = episode.isolate
-            if episode.severs(now, src_group == group, dst_group == group):
+            if not episode.start_s <= now < episode.end_s:
+                continue
+            src_inside = src_group == episode.isolate
+            if src_inside == (dst_group == episode.isolate):
+                continue
+            # Across the cut: "outbound" blocks a source inside it,
+            # "inbound" a destination inside it.
+            direction = episode.direction
+            if direction == "both" or src_inside == (direction == "outbound"):
                 return True
         return False
 
@@ -301,7 +311,10 @@ class GrayFailureModel:
 
     # -- state -------------------------------------------------------------
     def is_gray(self, node: str) -> bool:
-        node = str(node)
+        return self._gray(str(node))
+
+    def _gray(self, node: str) -> bool:
+        """:meth:`is_gray` for a name that is already a string."""
         if node in self._degraded:
             return True
         spans = self.episodes.get(node)
@@ -363,7 +376,7 @@ class GrayFailureModel:
     def drops(self, src: str, dst: str, kind: str) -> bool:
         if kind in self.protected_kinds or self.drop_rate == 0.0:
             return False
-        if not (self.is_gray(src) or self.is_gray(dst)):
+        if not (self._gray(src) or self._gray(dst)):
             return False
         hit = bool(self.rng.random() < self.drop_rate)
         if hit:
@@ -375,7 +388,7 @@ class GrayFailureModel:
     def extra_latency_s(self, src: str, dst: str) -> float:
         if self._added_latency_s == 0.0:
             return 0.0
-        if self.is_gray(src) or self.is_gray(dst):
+        if self._gray(src) or self._gray(dst):
             return self._added_latency_s
         return 0.0
 

@@ -69,17 +69,21 @@ class InvariantEngine:
     def check_now(self) -> list[InvariantViolation]:
         """Evaluate every law once; raise (halt) or collect (survey)."""
         found: list[InvariantViolation] = []
+        now = self.env.now
+        seed = self.seed
+        monitor = self.monitor
+        count = None if monitor is None else monitor.count
         for law in self.laws:
             self.checks += 1
-            if self.monitor is not None:
-                self.monitor.count("checks", key=law.name)
+            if count is not None:
+                count("checks", law.name)
             try:
-                law.check(self.env.now, seed=self.seed)
+                law.check(now, seed=seed)
             except InvariantViolation as violation:
                 self.violations += 1
                 self.violation_log.append(violation)
-                if self.monitor is not None:
-                    self.monitor.count("violations", key=law.name)
+                if count is not None:
+                    count("violations", law.name)
                 if self.halt:
                     raise
                 found.append(violation)

@@ -98,9 +98,6 @@ class ConservationLaw:
         if self.tol < 0:
             raise ValueError("tol must be non-negative")
 
-    def applicable(self) -> bool:
-        return self.when is None or bool(self.when())
-
     def evaluate(self) -> tuple[list[tuple[str, float]],
                                 list[tuple[str, float]]]:
         """Read every term once; returns labeled (lhs, rhs) values."""
@@ -109,7 +106,8 @@ class ConservationLaw:
 
     def check(self, time: float = 0.0, seed: Optional[int] = None) -> None:
         """Evaluate and raise :class:`InvariantViolation` on imbalance."""
-        if not self.applicable():
+        when = self.when
+        if when is not None and not when():
             return
         self.checks += 1
         # The same floats summed in the same order as the labeled values

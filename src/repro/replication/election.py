@@ -80,7 +80,7 @@ class LeaseElection:
         self.campaign_spread_s = campaign_spread_s
         self.election_round_s = election_round_s
         self.retry_backoff_s = retry_backoff_s
-        self.monitor = monitor
+        self.monitor = Monitor(env) if monitor is None else monitor
         self.tracer = tracer
         self.on_promote = on_promote
 
@@ -142,10 +142,6 @@ class LeaseElection:
     def _key(self, node: str) -> str:
         return f"lease@{node}"
 
-    def _count(self, name: str, **kw) -> None:
-        if self.monitor is not None:
-            self.monitor.count(name, **kw)
-
     # -- external invalidation ------------------------------------------
 
     def depose(self, node: str) -> None:
@@ -161,7 +157,7 @@ class LeaseElection:
         self._believed_leader[node] = None
         self._last_heard[node] = self.env.now
         self.demotions += 1
-        self._count("demotions", key=node)
+        self.monitor.count("demotions", key=node)
 
     # -- per-node state machine -----------------------------------------
 
@@ -183,7 +179,7 @@ class LeaseElection:
             self._believed_leader[node] = None
             self._last_heard[node] = now
             self.demotions += 1
-            self._count("demotions", key=node)
+            self.monitor.count("demotions", key=node)
             return
         term = self._term[node]
         self._last_heard[node] = now
@@ -196,7 +192,7 @@ class LeaseElection:
                 deliver=lambda p=peer, t=term: self._receive_renewal(
                     p, node, t),
                 kind="lease")
-            self._count("lease_renewals")
+            self.monitor.count("lease_renewals")
         fresh = sum(1 for at in self._ack_at[node].values()
                     if now - at <= self.lease_ttl_s) + 1  # + self
         if fresh >= self.majority:
@@ -212,7 +208,7 @@ class LeaseElection:
             if self._role[observer] == "leader":
                 # A higher-termed leader exists: stand down immediately.
                 self.demotions += 1
-                self._count("demotions", key=observer)
+                self.monitor.count("demotions", key=observer)
             self._role[observer] = "standby"
             self._believed_leader[observer] = leader
         elif self._role[observer] == "candidate":
@@ -256,7 +252,7 @@ class LeaseElection:
         self._votes[node] = 1
         self._role[node] = "candidate"
         self.elections += 1
-        self._count("elections", key=node)
+        self.monitor.count("elections", key=node)
         span = None
         if self.tracer is not None:
             span = self.tracer.start_span(
@@ -297,14 +293,14 @@ class LeaseElection:
         if grant:
             self._granted[peer] = term
             self.votes_granted += 1
-            self._count("votes_granted", key=peer)
+            self.monitor.count("votes_granted", key=peer)
             self.network.send(
                 peer, candidate,
                 deliver=lambda t=term: self._receive_vote(candidate, t),
                 kind="vote")
             return
         self.votes_denied += 1
-        self._count("votes_denied", key=peer)
+        self.monitor.count("votes_denied", key=peer)
         self.network.send(
             peer, candidate,
             deliver=lambda t=self._term[peer],
@@ -331,7 +327,7 @@ class LeaseElection:
             self._believed_leader[candidate] = denier_leader
             self._last_heard[candidate] = self.env.now
             self.stand_downs += 1
-            self._count("stand_downs", key=candidate)
+            self.monitor.count("stand_downs", key=candidate)
 
     def _win(self, node: str, term: int) -> None:
         self._role[node] = "leader"
@@ -342,6 +338,6 @@ class LeaseElection:
         self._last_majority[node] = self.env.now
         self.promotions += 1
         self.leaders_by_term.setdefault(term, node)
-        self._count("promotions", key=node)
+        self.monitor.count("promotions", key=node)
         if self.on_promote is not None:
             self.on_promote(node, term)

@@ -52,7 +52,7 @@ class JournalReplicator:
         self.ship_interval_s = ship_interval_s
         self.batch = batch
         self.on_apply = on_apply
-        self.monitor = monitor
+        self.monitor = Monitor(env) if monitor is None else monitor
 
         all_nodes = [leader, *self.standbys]
         #: Highest seq ever sent to each node (resend detection).
@@ -99,10 +99,6 @@ class JournalReplicator:
         return len(durable) - _first_unacked(durable,
                                              self.acked.get(node, -1))
 
-    def _count(self, name: str, **kw) -> None:
-        if self.monitor is not None:
-            self.monitor.count(name, **kw)
-
     def _ship_loop(self):
         while True:
             yield self.env.timeout(self.ship_interval_s)
@@ -117,19 +113,18 @@ class JournalReplicator:
                 for record in window:
                     if record.seq <= self._sent[standby]:
                         self.resends += 1
-                        self._count("ship_resends")
+                        self.monitor.count("ship_resends")
                     else:
                         self._sent[standby] = record.seq
                     self.shipped_records += 1
-                    self._count("shipped_records")
+                    self.monitor.count("shipped_records")
                     self.network.send(
                         self.leader, standby,
                         deliver=lambda s=standby, r=record:
                             self._receive(s, r),
                         kind="journal")
-                if self.monitor is not None:
-                    self.monitor.record(
-                        "ship_lag", float(len(durable) - 1 - acked))
+                self.monitor.record("ship_lag",
+                                    float(len(durable) - 1 - acked))
 
     def _receive(self, standby: str, record: JournalRecord) -> None:
         leader = self.leader
@@ -156,4 +151,4 @@ class JournalReplicator:
         if seq > self.acked[standby]:
             self.acked[standby] = seq
         self.acks_received += 1
-        self._count("ship_acks")
+        self.monitor.count("ship_acks")

@@ -138,6 +138,9 @@ class HeartbeatEmitter:
         self._proc = env.process(self._beat())
 
     def _beat(self):
+        def deliver():  # one callable for every beat, not one per beat
+            self.detector.heartbeat(self.key)
+
         while True:
             delay = self.interval_s
             if self.jitter > 0:  # rng presence enforced at construction
@@ -149,12 +152,10 @@ class HeartbeatEmitter:
                 continue
             if self.network is None:
                 self.sent += 1
-                self.detector.heartbeat(self.key)
+                deliver()
                 continue
-            verdict = self.network.send(
-                self.src, self.dst,
-                deliver=lambda: self.detector.heartbeat(self.key),
-                kind="heartbeat")
+            verdict = self.network.send(self.src, self.dst, deliver=deliver,
+                                        kind="heartbeat")
             if verdict in ("delivered", "in_flight"):
                 self.sent += 1
             else:

@@ -137,7 +137,13 @@ class Timeout(Event):
         self._ok = True
         self._defused = False
         self._delay = delay
-        env._schedule(self, _NORMAL, delay)
+        # Environment._schedule, inlined (same eid draw, same hook call);
+        # the negative-delay check is the ValueError above.
+        heappush(env._queue,
+                 [env._now + delay, _NORMAL, next(env._eid), self, 0, 0.0])
+        hook = env._schedule_hook
+        if hook is not None:
+            hook(self)
 
     @classmethod
     def _raw(cls, env: "Environment", delay: float, value: Any) -> "Timeout":  # noqa: F821
@@ -162,7 +168,7 @@ class Initialize(Event):
 
     def __init__(self, env: "Environment", process: "Process"):  # noqa: F821
         super().__init__(env)
-        self.callbacks = [process._resume]
+        self.callbacks = [process._wake]
         self._ok = True
         self._value = None
         env._schedule(self, priority=_URGENT)
@@ -182,16 +188,18 @@ class Process(Event):
     processes can ``yield proc`` to join it.
     """
 
-    __slots__ = ("_generator", "_target")
+    __slots__ = ("_generator", "_target", "_wake")
 
     def __init__(self, env: "Environment", generator: Generator):  # noqa: F821
         if not hasattr(generator, "throw"):
             raise TypeError(f"{generator!r} is not a generator")
         super().__init__(env)
         self._generator = generator
-        #: The event this process currently waits on.
-        self._target: Optional[Event] = None
-        Initialize(env, self)
+        #: The wake-up callback every event this process waits on gets,
+        #: bound once (and dropped when the process ends).
+        self._wake = self._resume
+        #: The event this process currently waits on; first its start.
+        self._target: Optional[Event] = Initialize(env, self)
 
     def __repr__(self) -> str:
         name = getattr(self._generator, "__name__", str(self._generator))
@@ -211,73 +219,70 @@ class Process(Event):
         interrupt_ev._ok = False
         interrupt_ev._value = Interrupt(cause)
         interrupt_ev._defused = True
-        interrupt_ev.callbacks = [self._resume]
+        interrupt_ev.callbacks = [self._wake]
         self.env._schedule(interrupt_ev, priority=_URGENT)
 
     # -- internal ----------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        """Advance the generator with the event's outcome."""
-        self.env._active_process = self
+        """Advance the generator with ``event``'s outcome.
+
+        The process's only wake-up callback: its start, its interrupts
+        and every event it waits on land here, in one frame. A wake-up
+        after the process ended, or from an event it no longer waits on
+        (it was interrupted meanwhile), is stale and dropped.
+        """
+        if self._value is not PENDING or (
+                self._target is not event
+                and not isinstance(event._value, Interrupt)):
+            return
+        env = self.env
+        env._active_process = self
+        generator = self._generator
+        ok = event._ok
+        value = event._value
+        if not ok:
+            event._defused = True
         while True:
-            # Ignore stale wakeups: if we were interrupted while waiting on
-            # a target, the target may still fire later and must not resume
-            # us a second time.
             try:
-                if event._ok:
-                    next_event = self._generator.send(event._value)
+                if ok:
+                    next_event = generator.send(value)
                 else:
-                    event._defused = True
-                    next_event = self._generator.throw(event._value)
+                    next_event = generator.throw(value)
             except StopIteration as stop:
                 self._ok = True
                 self._value = stop.value
-                self.env._schedule(self)
                 break
             except BaseException as err:
                 self._ok = False
                 self._value = err
                 self._defused = False
-                self.env._schedule(self)
                 break
-
             if not isinstance(next_event, Event):
-                kind = type(next_event).__name__
-                err = RuntimeError(
-                    f"process yielded a non-event ({kind}); yield Timeout, "
+                # Thrown in on the next pass like a failed event's error:
+                # uncaught, it crashes the process with a clear message;
+                # caught, the generator's next yield is handled as usual.
+                ok = False
+                value = RuntimeError(
+                    f"process yielded a non-event "
+                    f"({type(next_event).__name__}); yield Timeout, "
                     "Process, Resource requests, or other Event instances")
-                # Crash the process with a clear error.
-                try:
-                    self._generator.throw(err)
-                except StopIteration as stop:
-                    self._ok = True
-                    self._value = stop.value
-                except BaseException as err2:
-                    self._ok = False
-                    self._value = err2
-                self.env._schedule(self)
-                break
-
-            if next_event.callbacks is not None:
+                continue
+            callbacks = next_event.callbacks
+            if callbacks is not None:
                 # Not yet processed: subscribe and go to sleep.
-                next_event.callbacks.append(self._resume_if_target)
+                callbacks.append(self._wake)
                 self._target = next_event
-                break
-            # Already-processed event: loop immediately with its outcome.
-            event = next_event
-
-        self._target = None if not self.is_alive else self._target
-        self.env._active_process = None
-
-    def _resume_if_target(self, event: Event) -> None:
-        """Callback wrapper that drops stale wakeups after interrupts."""
-        if not self.is_alive:
-            # Process already ended (e.g., crashed on interrupt).
-            return
-        if self._target is not event and not isinstance(
-                event._value, Interrupt):
-            return
+                env._active_process = None
+                return
+            # Already processed: loop immediately with its outcome.
+            ok = next_event._ok
+            value = next_event._value
+            if not ok:
+                next_event._defused = True
+        env._schedule(self)
         self._target = None
-        self._resume(event)
+        self._wake = None
+        env._active_process = None
 
 
 class Condition(Event):

@@ -3,10 +3,7 @@
 The paper's ecosystem lens (§3) treats communication as a first-class
 failure domain: components do not call each other, they *send messages*
 that a real network may delay, drop, or — during a partition — refuse to
-carry at all. Before this module, every domain hand-rolled its own loss
-check (the P2P swarm consulted a :class:`~repro.faults.MessageLossModel`
-inline, heartbeats went straight into the detector, dispatches teleported
-onto machines). :class:`Network` centralizes that: senders name their
+carry at all. :class:`Network` carries them: senders name their
 endpoints, attached fault models vote on each message, and the fabric
 keeps conservation accounting the invariant engine can audit::
 
@@ -40,6 +37,8 @@ DELIVERED = "delivered"
 BLOCKED = "blocked"
 DROPPED = "dropped"
 IN_FLIGHT = "in_flight"
+#: The ledger's counters, in the order of each ``by_kind`` row.
+_LEDGER = ("sent", DELIVERED, BLOCKED, DROPPED)
 
 
 class Network:
@@ -50,19 +49,26 @@ class Network:
     With zero total latency the payload callback runs synchronously —
     message passing costs nothing unless a model says otherwise, so a
     fabric without faults is behaviorally invisible to its users.
+
+    The ledger is kept once, in the monitor's ``sent``, ``delivered``,
+    ``blocked`` and ``dropped`` counters keyed by message kind (each made
+    at its first booking), so the monitor and its registry namespace
+    must serve this network alone; without one it keeps a private one.
+    The same-named attributes and :attr:`by_kind` are read-only views;
+    :attr:`in_flight` is a separate int, so the conservation law
+    compares two independent books.
     """
 
     # Every simulated message crosses this object; keep it dict-free.
     __slots__ = ("env", "monitor", "default_latency_s", "_nodes", "_blocks",
-                 "_drops", "_latencies", "sent", "delivered", "blocked",
-                 "dropped", "in_flight", "by_kind")
+                 "_drops", "_latencies", "_counters", "in_flight")
 
     def __init__(self, env: Environment, monitor: Optional[Monitor] = None,
                  default_latency_s: float = 0.0):
         if default_latency_s < 0:
             raise ValueError("default_latency_s must be non-negative")
         self.env = env
-        self.monitor = monitor
+        self.monitor = Monitor(env) if monitor is None else monitor
         self.default_latency_s = default_latency_s
         self._nodes: dict[str, None] = {}  # insertion-ordered set
         #: Each attached model's protocol hooks, bound once by
@@ -70,15 +76,26 @@ class Network:
         self._blocks: list[Callable[[str, str], bool]] = []
         self._drops: list[Callable[[str, str, str], bool]] = []
         self._latencies: list[Callable[[str, str], float]] = []
-        #: Conservation ledger (``sent == delivered + blocked + dropped
-        #: + in_flight`` at every instant).
-        self.sent = 0
-        self.delivered = 0
-        self.blocked = 0
-        self.dropped = 0
+        self._counters = self.monitor.counters
         self.in_flight = 0
-        #: Per-kind breakdown of the same ledger.
-        self.by_kind: dict[str, dict[str, int]] = {}
+
+    # -- ledger views -------------------------------------------------------
+    def _total(self, outcome: str) -> int:
+        counter = self._counters.get(outcome)
+        return 0 if counter is None else counter.total
+
+    sent = property(lambda self: self._total("sent"))
+    delivered = property(lambda self: self._total(DELIVERED))
+    blocked = property(lambda self: self._total(BLOCKED))
+    dropped = property(lambda self: self._total(DROPPED))
+
+    @property
+    def by_kind(self) -> dict[str, dict[str, int]]:
+        """The ledger per message kind, in first-sent order (a copy)."""
+        columns = [(name, getattr(self._counters.get(name), "by_key", {}))
+                   for name in _LEDGER]
+        return {kind: {name: by_key.get(kind, 0) for name, by_key in columns}
+                for kind in columns[0][1]}
 
     # -- topology ----------------------------------------------------------
     def add_node(self, name: str) -> str:
@@ -112,20 +129,16 @@ class Network:
         return model
 
     # -- verdicts ----------------------------------------------------------
-    def _require(self, name: str) -> str:
+    def _require(self, name: str) -> None:
         if name not in self._nodes:
             raise KeyError(f"unknown network node {name!r}; "
                            f"known: {self.nodes}")
-        return name
 
     def allows(self, src: str, dst: str) -> bool:
         """Whether a message from ``src`` to ``dst`` would not be blocked."""
         self._require(src)
         self._require(dst)
-        for blocks in self._blocks:
-            if blocks(src, dst):
-                return False
-        return True
+        return not any(blocks(src, dst) for blocks in self._blocks)
 
     def latency_s(self, src: str, dst: str) -> float:
         """One-way delay ``src`` -> ``dst`` under the attached models."""
@@ -133,15 +146,6 @@ class Network:
         for extra in self._latencies:
             total += float(extra(src, dst))
         return total
-
-    def _book(self, outcome: str, kind: str) -> None:
-        per_kind = self.by_kind.get(kind)
-        if per_kind is None:
-            per_kind = self.by_kind[kind] = {
-                "sent": 0, DELIVERED: 0, BLOCKED: 0, DROPPED: 0}
-        per_kind[outcome] += 1
-        if self.monitor is not None:
-            self.monitor.count(outcome, key=kind)
 
     # -- transmission ------------------------------------------------------
     def send(self, src: str, dst: str, deliver: Callable[[], Any],
@@ -161,29 +165,25 @@ class Network:
             self._require(src)
         if dst not in nodes:
             self._require(dst)
-        self.sent += 1
-        book = self._book
-        book("sent", kind)
         # SL009: each loop walks a local, not a self.<attr> load.
+        count = self.monitor.count
+        count("sent", kind)
         blockers = self._blocks
         for blocks in blockers:
             if blocks(src, dst):
-                self.blocked += 1
-                book(BLOCKED, kind)
+                count(BLOCKED, kind)
                 return BLOCKED
         droppers = self._drops
         for drops in droppers:
             if drops(src, dst, kind):
-                self.dropped += 1
-                book(DROPPED, kind)
+                count(DROPPED, kind)
                 return DROPPED
         delay = self.default_latency_s
         latencies = self._latencies
         for extra in latencies:
             delay += float(extra(src, dst))
         if delay <= 0:
-            self.delivered += 1
-            self._book(DELIVERED, kind)
+            count(DELIVERED, kind)
             deliver()
             return DELIVERED
         self.in_flight += 1
@@ -194,6 +194,5 @@ class Network:
                        kind: str):
         yield self.env.timeout(delay)
         self.in_flight -= 1
-        self.delivered += 1
-        self._book(DELIVERED, kind)
+        self.monitor.count(DELIVERED, kind)
         deliver()

@@ -99,6 +99,28 @@ class TestNetworkPartitionModel:
         assert not net.allows("w2", "s")    # its announcements vanish
         assert net.allows("s", "w2")        # but it still hears the world
 
+    def test_blocks_agrees_with_episode_severs(self):
+        # blocks() walks the episodes itself; it must answer as the
+        # episodes' own severs() does, for every direction and pair.
+        env = Environment()
+        groups = {"minority": ["w2", "w3"], "edge": ["w1"]}
+        episodes = [PartitionEpisode(1.0, 4.0, "minority", "inbound"),
+                    PartitionEpisode(3.0, 6.0, "edge", "outbound"),
+                    PartitionEpisode(5.0, 8.0, "minority", "both")]
+        model = NetworkPartitionModel(env, groups=groups, episodes=episodes)
+        group_of = {n: g for g, members in groups.items() for n in members}
+        nodes = ["s", "w1", "w2", "w3"]
+        for until in (0.5, 1.0, 2.0, 3.5, 4.0, 5.5, 7.0, 8.0, 9.0):
+            env.run(until=until)
+            for src in nodes:
+                for dst in nodes:
+                    expected = any(
+                        e.severs(env.now, group_of.get(src) == e.isolate,
+                                 group_of.get(dst) == e.isolate)
+                        for e in episodes)
+                    assert model.blocks(src, dst) == expected, (until, src,
+                                                                dst)
+
     def test_timeline_counts_and_hooks(self):
         env = Environment()
         seen = []

@@ -226,7 +226,9 @@ def test_survey_engine_localizes_a_cross_layer_corruption():
                                                      front_door=door),
                              halt=False)
     assert engine.check_now() == []
-    net.delivered += 1               # corrupt the network books only
+    # Corrupt the network books only: ``delivered`` is a read-only view,
+    # so the corruption goes into the counter it reads.
+    net.monitor.counters["delivered"].total += 1
     broken = engine.check_now()
     assert [v.law.name for v in broken] == ["network.conservation"]
     assert broken[0].delta == -1.0

@@ -191,6 +191,31 @@ def test_yield_non_event_crashes_process():
         env.run()
 
 
+def test_process_that_catches_the_non_event_error_yields_on():
+    # The non-event error is thrown in like a failed event's: a process
+    # that catches it waits on its next yield and finishes normally.
+    env = Environment()
+    seen = []
+
+    def stubborn(env):
+        try:
+            yield 42
+        except RuntimeError as err:
+            seen.append(("caught", str(err).split(";")[0], env.now))
+        yield env.timeout(1)
+        return "done"
+
+    def joiner(env, proc):
+        seen.append(("joined", (yield proc), env.now))
+
+    proc = env.process(stubborn(env))
+    env.process(joiner(env, proc))
+    env.run()
+    assert seen == [("caught", "process yielded a non-event (int)", 0.0),
+                    ("joined", "done", 1.0)]
+    assert not proc.is_alive and proc.ok and proc.value == "done"
+
+
 def test_many_processes_deterministic():
     def run_once():
         env = Environment()

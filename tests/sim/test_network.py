@@ -275,3 +275,190 @@ class TestConservation:
 def test_default_latency_validation():
     with pytest.raises(ValueError):
         Network(Environment(), default_latency_s=-1.0)
+
+
+# -- reference oracle: the triple-booked ledger ------------------------------
+
+class TripleBookNetwork:
+    """The fabric's earlier bookkeeping, kept as an oracle.
+
+    Every message is booked three times, through two ``_book`` calls per
+    send: in an attribute counter, in ``by_kind`` and in the monitor.
+    Routing is the same as :class:`Network`'s (no default latency).
+    """
+
+    def __init__(self, env, monitor=None):
+        self.env = env
+        self.monitor = monitor
+        self._nodes = {}
+        self._blocks, self._drops, self._latencies = [], [], []
+        self.sent = self.delivered = self.blocked = self.dropped = 0
+        self.in_flight = 0
+        self.by_kind = {}
+
+    def add_nodes(self, names):
+        for name in names:
+            self._nodes[str(name)] = None
+
+    def attach(self, model):
+        for hooks, name in ((self._blocks, "blocks"), (self._drops, "drops"),
+                            (self._latencies, "extra_latency_s")):
+            hook = getattr(model, name, None)
+            if hook is not None:
+                hooks.append(hook)
+        return model
+
+    def _book(self, outcome, kind):
+        per_kind = self.by_kind.get(kind)
+        if per_kind is None:
+            per_kind = self.by_kind[kind] = {
+                "sent": 0, "delivered": 0, "blocked": 0, "dropped": 0}
+        per_kind[outcome] += 1
+        if self.monitor is not None:
+            self.monitor.count(outcome, key=kind)
+
+    def send(self, src, dst, deliver, kind="message"):
+        assert src in self._nodes and dst in self._nodes
+        self.sent += 1
+        self._book("sent", kind)
+        for blocks in self._blocks:
+            if blocks(src, dst):
+                self.blocked += 1
+                self._book("blocked", kind)
+                return "blocked"
+        for drops in self._drops:
+            if drops(src, dst, kind):
+                self.dropped += 1
+                self._book("dropped", kind)
+                return "dropped"
+        delay = 0.0
+        for extra in self._latencies:
+            delay += float(extra(src, dst))
+        if delay <= 0:
+            self.delivered += 1
+            self._book("delivered", kind)
+            deliver()
+            return "delivered"
+        self.in_flight += 1
+        self.env.process(self._deliver_later(deliver, delay, kind))
+        return "in_flight"
+
+    def _deliver_later(self, deliver, delay, kind):
+        yield self.env.timeout(delay)
+        self.in_flight -= 1
+        self.delivered += 1
+        self._book("delivered", kind)
+        deliver()
+
+
+NODES = ["s", "w0", "w1", "w2", "w3", "w4"]
+KINDS = ["heartbeat", "journal", "report", "dispatch"]
+
+
+def drive_mix(net_cls, seed, mix, with_monitor=True, n_messages=300):
+    """Send a seeded random message mix through ``net_cls`` under the
+    fault models named in ``mix``; returns what an observer can see."""
+    from repro.faults import (GrayFailureModel, NetworkPartitionModel,
+                              PartitionEpisode, ScheduledMessageLoss)
+    from repro.sim import MetricsRegistry
+
+    env = Environment()
+    streams = RandomStreams(seed)
+    registry = MetricsRegistry()
+    monitor = (Monitor(env, registry=registry, namespace="network")
+               if with_monitor else None)
+    net = net_cls(env, monitor=monitor)
+    net.add_nodes(NODES)
+    if "partition" in mix:
+        net.attach(NetworkPartitionModel(
+            env, groups={"minority": ["w3", "w4"]},
+            episodes=[PartitionEpisode(10.0, 40.0, "minority"),
+                      PartitionEpisode(60.0, 80.0, "minority", "outbound"),
+                      PartitionEpisode(95.0, 110.0, "minority", "inbound")],
+            monitor=Monitor(env, registry=registry, namespace="partition")))
+    if "gray" in mix:
+        net.attach(GrayFailureModel(
+            env, streams.get("gray"), drop_rate=0.3, extra_latency_s=0.2,
+            episodes={"w1": [(20.0, 70.0)], "w2": [(50.0, 120.0)]},
+            monitor=Monitor(env, registry=registry, namespace="gray")))
+    if "loss" in mix:
+        net.attach(ScheduledMessageLoss(
+            env, streams.get("loss"), [(30.0, 90.0, 0.25)],
+            monitor=Monitor(env, registry=registry, namespace="loss")))
+    rng = streams.get("driver")
+    trace = []
+
+    def driver():
+        for _ in range(n_messages):
+            yield env.timeout(float(rng.exponential(0.4)))
+            src, dst = (NODES[int(i)] for i in
+                        rng.choice(len(NODES), size=2, replace=False))
+            kind = KINDS[int(rng.integers(len(KINDS)))]
+            verdict = net.send(
+                src, dst, kind=kind,
+                deliver=lambda k=kind, s=src: trace.append(
+                    ("arrive", env.now, s, k)))
+            trace.append((verdict, env.now, net.sent, net.delivered,
+                          net.blocked, net.dropped, net.in_flight))
+
+    env.process(driver())
+    env.run()
+    counters = ({} if monitor is None else
+                {name: (c.total, dict(c.by_key))
+                 for name, c in monitor.counters.items()})
+    return {"trace": trace,
+            "ledger": (net.sent, net.delivered, net.blocked, net.dropped,
+                       net.in_flight),
+            "by_kind": net.by_kind,
+            "counters": counters,
+            "snapshot": registry.snapshot()}
+
+
+MIXES = [("partition", "gray", "loss"), ("partition",), ("gray",), ()]
+
+
+class TestSingleLedgerOracle:
+    """The single ledger reads the same as the triple-booked one."""
+
+    @pytest.mark.parametrize("seed", [3, 17, 401])
+    @pytest.mark.parametrize("mix", MIXES, ids=lambda m: "+".join(m) or "calm")
+    def test_matches_triple_book(self, seed, mix):
+        got = drive_mix(Network, seed, mix)
+        want = drive_mix(TripleBookNetwork, seed, mix)
+        assert got == want
+        assert list(got["by_kind"]) == list(want["by_kind"])  # first sent
+        # Only counters something was booked in exist.
+        verdicts = {step[0] for step in want["trace"]
+                    if step[0] != "arrive"}
+        booked = {"sent"} | (verdicts - {"in_flight"})
+        if "in_flight" in verdicts:
+            booked.add("delivered")
+        assert set(got["counters"]) == booked
+        assert {name.split(".")[1] for name in got["snapshot"]
+                if name.startswith("network.")} == booked
+
+    def test_mixes_cover_every_verdict(self):
+        verdicts = {step[0] for step in drive_mix(Network, 3, MIXES[0])[
+            "trace"]}
+        assert verdicts == {"blocked", "dropped", "delivered", "in_flight",
+                            "arrive"}
+        assert "dropped" not in drive_mix(Network, 3, ("partition",))[
+            "counters"]
+
+    @pytest.mark.parametrize("mix", MIXES[:2])
+    def test_without_a_monitor(self, mix):
+        got = drive_mix(Network, 17, mix, with_monitor=False)
+        want = drive_mix(TripleBookNetwork, 17, mix, with_monitor=False)
+        for key in ("trace", "ledger", "by_kind", "snapshot"):
+            assert got[key] == want[key]
+        # The private monitor books into its own registry, not the world's.
+        assert not any(name.startswith("network.") for name in got["snapshot"])
+
+    def test_views_are_read_only(self):
+        _, net = make_net("a", "b")
+        net.send("a", "b", deliver=lambda: None)
+        with pytest.raises(AttributeError):
+            net.sent = 0
+        net.by_kind["message"]["sent"] = 99
+        assert net.by_kind == {"message": {"sent": 1, "delivered": 1,
+                                           "blocked": 0, "dropped": 0}}
