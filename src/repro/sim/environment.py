@@ -2,11 +2,16 @@
 
 The dispatch machinery is split into two tiers:
 
-- an *instrumented* path (:meth:`Environment.step`) that feeds tracers,
+- an *instrumented* tier (:meth:`Environment.step`) that feeds tracers,
   the profiler, debug invariants, and the scheduling hook; and
-- a *fast* path inlined into :meth:`Environment.run` that dispatches
-  straight off the heap with pre-bound locals when none of those are
-  installed — the common case, and the hot path under every domain.
+- a *fast* tier, one loop inlined into :meth:`Environment.run`, that
+  dispatches straight off the heap with pre-bound locals when none of
+  those are installed — the common case, and the hot path under every
+  domain.
+
+Both tiers halt by one rule: only a finite ``until`` time stops a run
+short of a queued event (events at or after it stay queued); any other
+run dispatches everything queued, events at ``t = inf`` included.
 
 Which tier runs is decided per dispatch by a one-cell "live" flag kept
 current by every hook mutator (``add_tracer``/``remove_tracer``, the
@@ -29,7 +34,7 @@ affect heap order.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from heapq import heapify, heappop, heappush, heapreplace
+from heapq import heappop, heappush, heapreplace
 from itertools import count
 from typing import Any, Callable, Generator, Iterable, Optional, Union
 
@@ -243,42 +248,6 @@ class Environment:
         """An event that fires ``delay`` time units from now."""
         return Timeout(self, delay, value)
 
-    def timeout_batch(self, delays: Iterable[float],
-                      value: Any = None) -> list[Timeout]:
-        """Schedule one timeout per delay in a single batched heap build.
-
-        Dispatch order is identical to ``[self.timeout(d) for d in
-        delays]`` — eids are allocated in iteration order and the heap
-        pop sequence depends only on ``(time, priority, eid)`` — but
-        when the batch rivals the queue in size the entries are appended
-        and heapified once (O(n + q)) instead of sifted one by one
-        (O(n log q)). Useful for pre-loading arrival/retry schedules.
-        """
-        queue = self._queue
-        now = self._now
-        eid = self._eid
-        raw = Timeout._raw
-        events: list[Timeout] = []
-        entries: list[list] = []
-        for delay in delays:
-            if delay < 0:
-                raise ValueError(f"negative delay {delay}")
-            event = raw(self, delay, value)
-            events.append(event)
-            entries.append([now + delay, _NORMAL, next(eid), event, 0, 0.0])
-        if entries:
-            if 4 * len(entries) >= len(queue):
-                queue.extend(entries)
-                heapify(queue)
-            else:
-                for entry in entries:
-                    heappush(queue, entry)
-            hook = self._schedule_hook
-            if hook is not None:
-                for event in events:
-                    hook(event)
-        return events
-
     def process(self, generator: Generator) -> Process:
         """Start a new process from a generator function's generator."""
         return Process(self, generator)
@@ -310,7 +279,7 @@ class Environment:
     # -- scheduling ------------------------------------------------------------
     def _schedule(self, event: Event, priority: int = _NORMAL,
                   delay: float = 0.0) -> None:
-        if self._debug and delay < 0:
+        if self._debug and not delay >= 0:  # NaN included
             raise DebugViolation(
                 f"scheduling {event!r} with negative delay {delay}")
         heappush(self._queue,
@@ -401,44 +370,37 @@ class Environment:
 
         ``until`` may be:
 
-        - ``None``: run until the event queue is exhausted;
-        - a number: run until the clock reaches that time;
+        - ``None`` or ``inf``: dispatch everything queued, even at inf;
+        - a finite number: dispatch events before it, then set ``now`` to it;
         - an :class:`Event`: run until that event is processed, returning
           its value (or raising its failure).
         """
-        if until is None:
-            stop_at = float("inf")
-            stop_event: Optional[Event] = None
-        elif isinstance(until, Event):
-            stop_at = float("inf")
+        stop_at = float("inf")
+        bounded = False
+        stop_event: Optional[Event] = None
+        if isinstance(until, Event):
             stop_event = until
             if stop_event.callbacks is None:  # already processed
                 if stop_event._ok:
                     return stop_event._value
                 raise stop_event._value
             stop_event.callbacks.append(self._stop_callback)
-        else:
+        elif until is not None:
             stop_at = float(until)
-            if stop_at <= self._now:
+            if not stop_at > self._now:  # NaN included
                 raise ValueError(
                     f"until ({stop_at}) must be greater than now ({self._now})")
-            stop_event = None
+            bounded = stop_at != float("inf")
 
         # Hot loops: everything touched per dispatch is pre-bound to a
-        # local; ``queue[0][0]`` is ``peek()`` without the attribute
-        # walk. Each tier runs its own inner loop and transitions happen
-        # only where they can: hooks are installed/removed exclusively
-        # by user code, and no user code runs on a mid-batch tick, so
-        # the fast loops re-read ``live[0]`` only after a generator
-        # resume or an event's callbacks — a tracer installed by a
-        # callback mid-run still flips the very next dispatch onto the
-        # instrumented tier, without the highest-volume dispatch paying
-        # a per-tick flag check. The fast tier additionally exists in
-        # two copies — unbounded and ``until``-bounded — because the
-        # time-bound compare is measurable at tick rate and both
-        # ``run()`` and ``run(until=event)`` take the unbounded one
-        # (an until-event stops via StopSimulation, not the clock).
-        # Keep the three inner loops in sync.
+        # local. Hooks change only in user code, and none runs on a
+        # mid-batch tick, so the fast loop re-reads ``live[0]`` only
+        # after a generator resume or an event's callbacks: a tracer that
+        # a callback installs still moves the very next dispatch onto the
+        # instrumented tier, with no per-tick flag check. Both loops halt
+        # on ``t >= stop_at and bounded``; unbounded, ``stop_at`` is inf,
+        # so ``bounded`` is read only for an event at inf, which such a
+        # run dispatches.
         queue = self._queue
         live = self._live
         step = self.step
@@ -458,145 +420,88 @@ class Environment:
                     # -- instrumented tier: every dispatch via step().
                     while queue:
                         t = queue[0][0]
-                        if t >= stop_at:
+                        if t >= stop_at and bounded:
                             halted = True
                             break
                         step()
                         if not live[0]:
                             break
-                elif stop_at == float("inf"):
-                    # -- fast tier, unbounded. ``while True``: a
-                    # mid-batch tick never changes the queue size, so
-                    # emptiness is re-checked only after dispatches
-                    # that can pop (the user-code exits below).
-                    while True:
-                        entry = queue[0]
-                        dispatches += 1
-                        remaining = entry[4]
-                        if remaining:
-                            # Mid-batch tick: only a ticker entry has a
-                            # nonzero batch count, so no payload load or
-                            # class check is needed. No user code runs,
-                            # so the clock store is deferred (every
-                            # branch that reaches user code — and the
-                            # run exit paths, which can only follow one
-                            # — publish ``t`` before anything can
-                            # observe ``now``).
-                            entry[4] = remaining - 1
-                            entry[0] = entry[0] + entry[5]
-                            replace(queue, entry)
-                            continue
-                        t = entry[0]
-                        obj = entry[3]
-                        if obj.__class__ is ticker_cls:
-                            # Resume point: inline the common case (the
-                            # generator yields a non-negative float) —
-                            # at tick rate the ``_resume_ticker`` call
-                            # itself is measurable. Batches, int delays,
-                            # invalid yields, and termination funnel to
-                            # the shared helpers, so behavior is
-                            # identical to the step() tier.
-                            self._now = t
-                            try:
-                                d = obj._generator.__next__()
-                            except StopIteration as stop:
-                                retire(queue, entry)
-                                obj._finish(stop.value)
-                            except BaseException as err:
-                                retire(queue, entry)
-                                obj._crash(err)
-                            else:
-                                if d.__class__ is float and d >= 0.0:
-                                    entry[0] = t + d
-                                    entry[1] = normal
-                                    if queue[0] is entry:
-                                        replace(queue, entry)
-                                    else:
-                                        # Displaced mid-resume by some-
-                                        # thing the generator scheduled
-                                        # (rare).
-                                        retire(queue, entry)
-                                        push(queue, entry)
-                                else:
-                                    resched(queue, entry, obj, t, d)
-                            if live[0] or not queue:
-                                break
-                            continue
+                    continue
+                # -- fast tier. ``while True``: a mid-batch tick never
+                # changes the queue size, so emptiness is re-checked only
+                # after dispatches that can pop (the user-code exits).
+                while True:
+                    entry = queue[0]
+                    t = entry[0]
+                    if t >= stop_at and bounded:
+                        halted = True
+                        break
+                    dispatches += 1
+                    remaining = entry[4]
+                    if remaining:
+                        # Mid-batch tick (only ticker entries count
+                        # batches): no payload load, no class check and,
+                        # as no user code runs, no clock store yet.
+                        entry[4] = remaining - 1
+                        entry[0] = t + entry[5]
+                        replace(queue, entry)
+                        continue
+                    obj = entry[3]
+                    if obj.__class__ is ticker_cls:
+                        # Resume point: the common case (a non-negative
+                        # float) is inlined, as a ``_resume_ticker`` call
+                        # is measurable at tick rate; all else (batches,
+                        # ints, invalid yields, termination) funnels to
+                        # the helpers the step() tier uses.
                         self._now = t
-                        pop(queue)
-                        callbacks = obj.callbacks
-                        obj.callbacks = None
-                        for callback in callbacks:
-                            callback(obj)
-                        if not obj._ok and not obj._defused:
-                            raise obj._value
+                        try:
+                            d = obj._generator.__next__()
+                        except StopIteration as stop:
+                            retire(queue, entry)
+                            obj._finish(stop.value)
+                        except BaseException as err:
+                            retire(queue, entry)
+                            obj._crash(err)
+                        else:
+                            if d.__class__ is float and d >= 0.0:
+                                entry[0] = t + d
+                                entry[1] = normal
+                                if queue[0] is entry:
+                                    replace(queue, entry)
+                                else:
+                                    # Displaced mid-resume by something
+                                    # the generator scheduled (rare).
+                                    retire(queue, entry)
+                                    push(queue, entry)
+                            else:
+                                resched(queue, entry, obj, t, d)
                         if live[0] or not queue:
                             break
-                else:
-                    # -- fast tier, bounded: identical plus the time
-                    # bound.
-                    while True:
-                        entry = queue[0]
-                        t = entry[0]
-                        if t >= stop_at:
-                            halted = True
-                            break
-                        dispatches += 1
-                        remaining = entry[4]
-                        if remaining:
-                            entry[4] = remaining - 1
-                            entry[0] = t + entry[5]
-                            replace(queue, entry)
-                            continue
-                        obj = entry[3]
-                        if obj.__class__ is ticker_cls:
-                            self._now = t
-                            try:
-                                d = obj._generator.__next__()
-                            except StopIteration as stop:
-                                retire(queue, entry)
-                                obj._finish(stop.value)
-                            except BaseException as err:
-                                retire(queue, entry)
-                                obj._crash(err)
-                            else:
-                                if d.__class__ is float and d >= 0.0:
-                                    entry[0] = t + d
-                                    entry[1] = normal
-                                    if queue[0] is entry:
-                                        replace(queue, entry)
-                                    else:
-                                        retire(queue, entry)
-                                        push(queue, entry)
-                                else:
-                                    resched(queue, entry, obj, t, d)
-                            if live[0] or not queue:
-                                break
-                            continue
-                        self._now = t
-                        pop(queue)
-                        callbacks = obj.callbacks
-                        obj.callbacks = None
-                        for callback in callbacks:
-                            callback(obj)
-                        if not obj._ok and not obj._defused:
-                            raise obj._value
-                        if live[0] or not queue:
-                            break
+                        continue
+                    self._now = t
+                    pop(queue)
+                    callbacks = obj.callbacks
+                    obj.callbacks = None
+                    for callback in callbacks:
+                        callback(obj)
+                    if not obj._ok and not obj._defused:
+                        raise obj._value
+                    if live[0] or not queue:
+                        break
         except StopSimulation as stop:
             event = stop.args[0]
             if event._ok:
                 return event._value
             raise event._value
         finally:
-            # ``t`` is the time of the last dispatched (or, on a
-            # stop_at break, peeked — corrected right below) entry.
+            # ``t`` is the time of the last dispatched (or, on a halt,
+            # peeked — corrected right below) entry.
             self._now = t
             self.dispatch_count += dispatches
         if stop_event is not None:
             raise RuntimeError(
                 "event queue ran dry before the until-event triggered")
-        if stop_at != float("inf"):
+        if bounded:
             self._now = stop_at
         return None
 

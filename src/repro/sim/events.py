@@ -126,7 +126,7 @@ class Timeout(Event):
     __slots__ = ("_delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):  # noqa: F821
-        if delay < 0:
+        if not delay >= 0:  # NaN included
             raise ValueError(f"negative delay {delay}")
         # Timeouts are the kernel's highest-volume allocation, so the
         # Event field init is flattened here (one frame, no super call)
@@ -144,18 +144,6 @@ class Timeout(Event):
         hook = env._schedule_hook
         if hook is not None:
             hook(self)
-
-    @classmethod
-    def _raw(cls, env: "Environment", delay: float, value: Any) -> "Timeout":  # noqa: F821
-        """Construct without scheduling — the batch API schedules en masse."""
-        timeout = cls.__new__(cls)
-        timeout.env = env
-        timeout.callbacks = []
-        timeout._value = value
-        timeout._ok = True
-        timeout._defused = False
-        timeout._delay = delay
-        return timeout
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self._delay}>"
@@ -455,7 +443,7 @@ def _reschedule_ticker(queue: list, entry: list, ticker: Ticker,
         else:
             remaining = 0
         next_t = t + d  # also rejects non-numeric yields (TypeError)
-        if d < 0:
+        if not d >= 0:  # NaN included
             raise ValueError(f"negative tick delay {d}")
     except (TypeError, ValueError) as err:
         _retire_entry(queue, entry)
