@@ -41,31 +41,17 @@ class FailureInjector(CrashRestart):
                  on_failure: Optional[Callable[[Machine], None]] = None,
                  monitor: Optional[Monitor] = None):
         self.cluster = cluster
-        self._up_monitor = monitor
         super().__init__(
             env, cluster.machines, rng, mtbf_s=mtbf_s, mttr_s=mttr_s,
             on_fail=on_failure, monitor=monitor, name="machine")
 
-    # Keep the historical callback attribute name as an alias.
-    @property
-    def on_failure(self):
-        return self.on_fail
-
-    @on_failure.setter
-    def on_failure(self, callback):
-        self.on_fail = callback
-
     def fail_now(self, machine: Machine) -> None:
         super().fail_now(machine)
-        if self._up_monitor is not None:
-            self._up_monitor.record(
-                "up_machines", len(self.cluster.up_machines()))
+        self.monitor.record("up_machines", len(self.cluster.up_machines()))
 
     def repair_now(self, machine: Machine) -> None:
         super().repair_now(machine)
-        if self._up_monitor is not None:
-            self._up_monitor.record(
-                "up_machines", len(self.cluster.up_machines()))
+        self.monitor.record("up_machines", len(self.cluster.up_machines()))
 
     def availability(self) -> float:
         """Fraction of machines currently up."""

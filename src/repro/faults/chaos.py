@@ -105,14 +105,14 @@ def run_serverless_scenario(seed: int = 0, error_rate: float = 0.0,
     env.process(driver(env))
     # Enough slack past the last arrival for retries to drain.
     env.run(until=n_invocations / rate_per_s + 120.0)
-    counters = platform.monitor.counters
+    monitor = platform.monitor
     return {
         "slo_attainment": platform.slo_attainment(slo_s, "f"),
         "availability": 1.0 - platform.failure_fraction("f"),
         "invocations": len(platform.invocations),
         "completed": len(platform.completed("f")),
-        "faults": counters["faults"].total if "faults" in counters else 0,
-        "retries": counters["retries"].total if "retries" in counters else 0,
+        "faults": monitor.total("faults"),
+        "retries": monitor.total("retries"),
         "billed_gb_s": round(platform.billed_gb_s, 6),
         "mean_attempts": (sum(i.attempts for i in platform.invocations)
                           / max(1, len(platform.invocations))),
@@ -366,17 +366,15 @@ def run_recovery_scenario(seed: int = 0, policy: str = "daly",
         else:
             ckpt_policy = AdaptiveCheckpoint(cost_s,
                                              initial_mtbf_s=4.0 * mtbf_s)
-    monitor = None
-    if registry is not None:
-        from repro.sim import Monitor
-        monitor = Monitor(env, registry=registry, namespace="recovery")
     if tracer is not None and tracer.env is None:
         tracer.bind(env)
     job = CheckpointedJob(env, work_s=work_s, policy=ckpt_policy,
                           store=store,
                           checkpoint_size_mb=checkpoint_size_mb,
                           restart_cost_s=restart_cost_s, name="recovery",
-                          monitor=monitor, tracer=tracer)
+                          monitor=Monitor(env, registry=registry,
+                                          namespace="recovery"),
+                          tracer=tracer)
     crash = CrashRestart(env, [job], crash_rng,
                          mtbf_s=mtbf_s, mttr_s=mttr_s, name="recovery-crash")
     env.run(until=job.done)
@@ -588,7 +586,6 @@ def _books(env: Environment, door: FrontDoor, sim: ClusterSimulator,
     """The result keys both composed worlds report: front door,
     scheduler, network ledger, and invariant audit."""
     metrics = sim.metrics() if sim.finished else None
-    lost_reports = sim.monitor.counters.get("lost_reports")
     return {
         # front door / scheduler
         "offered": door.offered,
@@ -598,7 +595,7 @@ def _books(env: Environment, door: FrontDoor, sim: ClusterSimulator,
         "completed": metrics.n_tasks if metrics is not None else 0,
         "lost": len(sim.failed),
         "misdispatches": sim.misdispatches,
-        "lost_reports": lost_reports.total if lost_reports else 0,
+        "lost_reports": sim.monitor.total("lost_reports"),
         "scheduler_crashes": sim.scheduler_crashes,
         "recovered_completions": sim.recovered_completions,
         "readopted": sim.readopted,

@@ -180,15 +180,17 @@ class CrashRestart:
         self._is_up = is_up
         self.on_fail = on_fail
         self.on_repair = on_repair
-        self.monitor = monitor
+        self.monitor = Monitor(env) if monitor is None else monitor
         self.name = name
-        self.failures = 0
-        self.repairs = 0
         #: Summed DOWN time over completed outages, across all targets.
         self._downtime_s = 0.0
         self._down_since: dict[int, float] = {}
         self._started_at = env.now
         self._procs = [env.process(self._life(t)) for t in self.targets]
+
+    failures = property(
+        lambda self: self.monitor.total(f"{self.name}_failures"))
+    repairs = property(lambda self: self.monitor.total(f"{self.name}_repairs"))
 
     def _life(self, target: Any):
         while True:
@@ -207,23 +209,19 @@ class CrashRestart:
     # -- manual triggers (used by the burst model and tests) ---------------
     def fail_now(self, target: Any) -> None:
         self._fail(target)
-        self.failures += 1
         self._down_since[id(target)] = self.env.now
-        if self.monitor is not None:
-            self.monitor.count(f"{self.name}_failures",
-                               key=getattr(target, "name", None))
+        self.monitor.count(f"{self.name}_failures",
+                           key=getattr(target, "name", None))
         if self.on_fail is not None:
             self.on_fail(target)
 
     def repair_now(self, target: Any) -> None:
         self._repair(target)
-        self.repairs += 1
         down_since = self._down_since.pop(id(target), None)
         if down_since is not None:
             self._downtime_s += self.env.now - down_since
-        if self.monitor is not None:
-            self.monitor.count(f"{self.name}_repairs",
-                               key=getattr(target, "name", None))
+        self.monitor.count(f"{self.name}_repairs",
+                           key=getattr(target, "name", None))
         if self.on_repair is not None:
             self.on_repair(target)
 
@@ -272,10 +270,11 @@ class CorrelatedBurst:
         self._repair = repair
         self._is_up = is_up
         self.on_fail = on_fail
-        self.monitor = monitor
-        self.bursts = 0
+        self.monitor = Monitor(env) if monitor is None else monitor
         self.victims = 0
         self._proc = env.process(self._burst_loop())
+
+    bursts = property(lambda self: self.monitor.total("bursts"))
 
     def _burst_loop(self):
         while True:
@@ -287,10 +286,8 @@ class CorrelatedBurst:
             k = max(1, int(round(self.fraction * len(up))))
             picks = self.rng.choice(len(up), size=min(k, len(up)),
                                     replace=False)
-            self.bursts += 1
-            if self.monitor is not None:
-                self.monitor.count("bursts")
-                self.monitor.record("burst_size", len(picks))
+            self.monitor.count("bursts")
+            self.monitor.record("burst_size", len(picks))
             for idx in np.atleast_1d(picks):
                 victim = up[int(idx)]
                 self.victims += 1

@@ -26,6 +26,7 @@ randomness (episode generation, error/drop draws) comes from named
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -118,12 +119,10 @@ class NetworkPartitionModel:
         for group, members in self.groups.items():
             for node in members:
                 self._group_of[str(node)] = group
-        self.monitor = monitor
+        self.monitor = Monitor(env) if monitor is None else monitor
         self.on_split = on_split
         self.on_heal = on_heal
         self.name = name
-        self.splits = 0
-        self.heals = 0
         if self.episodes:
             env.process(self._timeline())
 
@@ -168,6 +167,9 @@ class NetworkPartitionModel:
             clipped.append(episode)
         return clipped
 
+    splits = property(lambda self: self.monitor.total("splits"))
+    heals = property(lambda self: self.monitor.total("heals"))
+
     # -- Network model protocol --------------------------------------------
     def blocks(self, src: str, dst: str) -> bool:
         # ``src``/``dst`` arrive as registered node names (strings), so
@@ -202,23 +204,20 @@ class NetworkPartitionModel:
 
     def _timeline(self):
         """Bookkeeping process: count and announce split/heal edges."""
+        # Episodes are not orderable: sort on (time, is_heal), stably.
         events = sorted(
             [(e.start_s, 0, e) for e in self.episodes]
-            + [(e.end_s, 1, e) for e in self.episodes])
+            + [(e.end_s, 1, e) for e in self.episodes], key=itemgetter(0, 1))
         for at, is_heal, episode in events:
             delay = at - self.env.now
             if delay > 0:
                 yield self.env.timeout(delay)
             if is_heal:
-                self.heals += 1
-                if self.monitor is not None:
-                    self.monitor.count("heals", key=episode.isolate)
+                self.monitor.count("heals", key=episode.isolate)
                 if self.on_heal is not None:
                     self.on_heal(episode)
             else:
-                self.splits += 1
-                if self.monitor is not None:
-                    self.monitor.count("splits", key=episode.isolate)
+                self.monitor.count("splits", key=episode.isolate)
                 if self.on_split is not None:
                     self.on_split(episode)
 
@@ -300,14 +299,17 @@ class GrayFailureModel:
                     raise ValueError(f"gray episode [{a}, {b}) of {node!r} "
                                      "needs 0 <= start < end")
         self.protected_kinds = tuple(protected_kinds)
-        self.monitor = monitor
+        self.monitor = Monitor(env) if monitor is None else monitor
         self.name = name
         self._degraded: dict[str, None] = {}  # manual grays, ordered
-        self.degradations = 0
-        self.restorations = 0
-        self.injected_errors = 0
-        self.dropped_messages = 0
         self.slowed_operations = 0
+
+    degradations = property(lambda self: self.monitor.total("degradations"))
+    restorations = property(lambda self: self.monitor.total("restorations"))
+    injected_errors = property(
+        lambda self: self.monitor.total("injected_errors"))
+    dropped_messages = property(
+        lambda self: self.monitor.total("dropped_messages"))
 
     # -- state -------------------------------------------------------------
     def is_gray(self, node: str) -> bool:
@@ -336,18 +338,14 @@ class GrayFailureModel:
         node = str(node)
         if node not in self._degraded:
             self._degraded[node] = None
-            self.degradations += 1
-            if self.monitor is not None:
-                self.monitor.count("degradations", key=node)
+            self.monitor.count("degradations", key=node)
 
     def restore(self, node: str) -> None:
         node = str(node)
         if node not in self._degraded:
             return
         del self._degraded[node]
-        self.restorations += 1
-        if self.monitor is not None:
-            self.monitor.count("restorations", key=node)
+        self.monitor.count("restorations", key=node)
 
     def target(self, node: str) -> _GrayTarget:
         """A ``fail/repair/is_up`` adapter for burst/crash composition."""
@@ -367,9 +365,7 @@ class GrayFailureModel:
             return False
         hit = bool(self.rng.random() < self.error_rate)
         if hit:
-            self.injected_errors += 1
-            if self.monitor is not None:
-                self.monitor.count("injected_errors", key=str(node))
+            self.monitor.count("injected_errors", key=str(node))
         return hit
 
     # -- Network model protocol --------------------------------------------
@@ -380,9 +376,7 @@ class GrayFailureModel:
             return False
         hit = bool(self.rng.random() < self.drop_rate)
         if hit:
-            self.dropped_messages += 1
-            if self.monitor is not None:
-                self.monitor.count("dropped_messages", key=kind)
+            self.monitor.count("dropped_messages", key=kind)
         return hit
 
     def extra_latency_s(self, src: str, dst: str) -> float:
@@ -427,9 +421,11 @@ class ScheduledMessageLoss:
             if not 0.0 <= r < 1.0:
                 raise ValueError(f"loss rate {r} not in [0, 1)")
         self.protected_kinds = tuple(protected_kinds)
-        self.monitor = monitor
+        self.monitor = Monitor(env) if monitor is None else monitor
         self.name = name
-        self.dropped_messages = 0
+
+    dropped_messages = property(
+        lambda self: self.monitor.total("dropped_messages"))
 
     def active_rate(self, now: Optional[float] = None) -> float:
         """The loss rate in force at ``now`` (0 outside every window)."""
@@ -449,7 +445,5 @@ class ScheduledMessageLoss:
             return False
         hit = bool(self.rng.random() < rate)
         if hit:
-            self.dropped_messages += 1
-            if self.monitor is not None:
-                self.monitor.count("dropped_messages", key=kind)
+            self.monitor.count("dropped_messages", key=kind)
         return hit

@@ -41,17 +41,18 @@ class InvariantEngine:
         self.env = env
         self.laws: list[ConservationLaw] = []
         self.check_interval_s = check_interval_s
-        self.monitor = monitor
+        self.monitor = Monitor(env) if monitor is None else monitor
         self.halt = halt
         #: The world's root seed, stamped into every violation's message
         #: so campaign verdicts are self-describing without a re-run.
         self.seed = seed
-        self.checks = 0
-        self.violations = 0
         self.violation_log: list[InvariantViolation] = []
         for law in laws:
             self.register(law)
         self._proc = env.process(self._audit())
+
+    checks = property(lambda self: self.monitor.total("checks"))
+    violations = property(lambda self: self.monitor.total("violations"))
 
     def register(self, law: ConservationLaw) -> ConservationLaw:
         if any(existing.name == law.name for existing in self.laws):
@@ -71,19 +72,14 @@ class InvariantEngine:
         found: list[InvariantViolation] = []
         now = self.env.now
         seed = self.seed
-        monitor = self.monitor
-        count = None if monitor is None else monitor.count
+        count = self.monitor.count
         for law in self.laws:
-            self.checks += 1
-            if count is not None:
-                count("checks", law.name)
+            count("checks", law.name)
             try:
                 law.check(now, seed=seed)
             except InvariantViolation as violation:
-                self.violations += 1
                 self.violation_log.append(violation)
-                if count is not None:
-                    count("violations", law.name)
+                count("violations", law.name)
                 if self.halt:
                     raise
                 found.append(violation)

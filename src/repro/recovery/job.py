@@ -96,7 +96,7 @@ class CheckpointedJob:
         self.quantum_s = quantum_s
         self.checkpoint_size_mb = float(checkpoint_size_mb)
         self.restart_cost_s = float(restart_cost_s)
-        self.monitor = monitor
+        self.monitor = Monitor(env) if monitor is None else monitor
         self.name = name
         #: Optional :class:`~repro.observability.Tracer`: the run is a
         #: ``recovery.job`` span with ``recovery.checkpoint`` /
@@ -112,6 +112,8 @@ class CheckpointedJob:
         #: Durable progress: work covered by the last committed
         #: checkpoint (or 0 until the first one commits).
         self.done_s = 0.0
+        # ``crashes`` and ``checkpoints_written`` stay ints: the monitor
+        # keys its counters by job name, and jobs may share a monitor.
         self.crashes = 0
         self.lost_work_s = 0.0
         self.checkpoint_time_s = 0.0
@@ -201,8 +203,7 @@ class CheckpointedJob:
                         # far: replay cost resets at each checkpoint.
                         self.journal.truncate(
                             self.journal.records[-1].seq)
-                    if self.monitor is not None:
-                        self.monitor.count("checkpoints", key=self.name)
+                    self.monitor.count("checkpoints", key=self.name)
                 self.done_s += segment
             except Interrupt:
                 self.crashes += 1
@@ -218,8 +219,7 @@ class CheckpointedJob:
                     self.recovery_time_s += self.env.now - phase_t0
                 else:
                     self.lost_work_s += self.env.now - phase_t0
-                if self.monitor is not None:
-                    self.monitor.count("crashes", key=self.name)
+                self.monitor.count("crashes", key=self.name)
                 down_t0 = self.env.now
                 self._repaired = self.env.event()
                 if self._up:

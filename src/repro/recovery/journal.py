@@ -57,14 +57,16 @@ class Journal:
         self.env = env
         self.append_cost_s = append_cost_s
         self.replay_cost_per_record_s = replay_cost_per_record_s
-        self.monitor = monitor
+        self.monitor = Monitor(env) if monitor is None else monitor
         self.name = name
         self._seq = count()
         self.records: list[JournalRecord] = []
-        self.appended = 0
-        self.truncations = 0
         self.truncated_records = 0
-        self.replays = 0
+
+    appended = property(lambda self: self.monitor.total(f"{self.name}_appends"))
+    replays = property(lambda self: self.monitor.total(f"{self.name}_replays"))
+    truncations = property(
+        lambda self: self.monitor.total(f"{self.name}_truncations"))
 
     def append(self, kind: str, payload: Any = None) -> JournalRecord:
         """Append one record; durable ``append_cost_s`` from now."""
@@ -72,9 +74,7 @@ class Journal:
                                payload=payload, appended_at=self.env.now,
                                durable_at=self.env.now + self.append_cost_s)
         self.records.append(record)
-        self.appended += 1
-        if self.monitor is not None:
-            self.monitor.count(f"{self.name}_appends", key=kind)
+        self.monitor.count(f"{self.name}_appends", key=kind)
         return record
 
     def durable_records(self, now: Optional[float] = None
@@ -92,9 +92,7 @@ class Journal:
 
     def replay(self, now: Optional[float] = None) -> list[JournalRecord]:
         """The durable prefix, in append order; counts the replay."""
-        self.replays += 1
-        if self.monitor is not None:
-            self.monitor.count(f"{self.name}_replays")
+        self.monitor.count(f"{self.name}_replays")
         return self.durable_records(now)
 
     def truncate(self, upto_seq: int) -> int:
@@ -106,10 +104,8 @@ class Journal:
         kept = [r for r in self.records if r.seq > upto_seq]
         dropped = len(self.records) - len(kept)
         self.records = kept
-        self.truncations += 1
         self.truncated_records += dropped
-        if self.monitor is not None:
-            self.monitor.count(f"{self.name}_truncations")
+        self.monitor.count(f"{self.name}_truncations")
         return dropped
 
     def __len__(self) -> int:

@@ -117,19 +117,22 @@ class CheckpointStore:
         self.keep_last = keep_last
         self.corruption_p = corruption_p
         self.rng = rng
-        self.monitor = monitor
+        self.monitor = Monitor(env) if monitor is None else monitor
         self.name = name
         self._seq = count()
         self.checkpoints: list[Checkpoint] = []
-        self.writes = 0
+        #: Restore attempts; an int, as ``_restores`` counts only successes.
         self.restores = 0
-        #: Restores that had to skip a corrupt snapshot and fall back.
-        self.corrupt_fallbacks = 0
         #: Restores that found no readable snapshot at all.
         self.failed_restores = 0
         self.evictions = 0
         self.write_time_total_s = 0.0
         self.read_time_total_s = 0.0
+
+    writes = property(lambda self: self.monitor.total(f"{self.name}_writes"))
+    #: Restores that had to skip a corrupt snapshot and fall back.
+    corrupt_fallbacks = property(
+        lambda self: self.monitor.total(f"{self.name}_corrupt_fallbacks"))
 
     # -- cost model --------------------------------------------------------
     def write_time_s(self, size_mb: float) -> float:
@@ -156,13 +159,11 @@ class CheckpointStore:
                           size_mb=float(size_mb), written_at=self.env.now,
                           corrupt=corrupt)
         self.checkpoints.append(ckpt)
-        self.writes += 1
         self.write_time_total_s += cost
         while len(self.checkpoints) > self.keep_last:
             self.checkpoints.pop(0)
             self.evictions += 1
-        if self.monitor is not None:
-            self.monitor.count(f"{self.name}_writes")
+        self.monitor.count(f"{self.name}_writes")
         return ckpt
 
     def restore(self):
@@ -186,17 +187,14 @@ class CheckpointStore:
             yield self.env.timeout(cost)
             self.read_time_total_s += cost
             if not candidate.corrupt:
-                if self.monitor is not None:
-                    self.monitor.count(f"{self.name}_restores")
+                self.monitor.count(f"{self.name}_restores")
                 return candidate
             if self.keep_last == 1:
                 self.checkpoints.pop()
                 self.failed_restores += 1
                 raise CheckpointCorruptionError(self.name, candidate.seq)
             self.checkpoints.pop()
-            self.corrupt_fallbacks += 1
-            if self.monitor is not None:
-                self.monitor.count(f"{self.name}_corrupt_fallbacks")
+            self.monitor.count(f"{self.name}_corrupt_fallbacks")
         self.failed_restores += 1
         return None
 

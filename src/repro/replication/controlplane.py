@@ -59,8 +59,7 @@ class ReplicatedControlPlane:
                 f"initial leader {self.nodes[0]!r}")
         if scheduler.journal is None:
             raise ValueError("a replicated control plane needs a journal")
-        self.monitor = monitor if monitor is not None \
-            else Monitor(env, namespace="replication")
+        self.monitor = Monitor(env) if monitor is None else monitor
         self.tracer = tracer
         self.takeover_cost_s = takeover_cost_s
         self.probe_interval_s = probe_interval_s
@@ -97,15 +96,18 @@ class ReplicatedControlPlane:
         #: Per-standby believed task state, built record by record as
         #: the journal ships — the warm replica a promotion starts from.
         self._believed: dict[str, dict] = {n: {} for n in self.nodes}
-        self.failovers = 0
-        self.stale_dispatches = 0
-        #: Stale writes a machine *accepted* (possible only with the
-        #: fence disabled) — each one is a split-brain write.
-        self.split_brain_writes = 0
         self.promoted_at: dict[int, float] = {}
         self.deposed_at: dict[str, float] = {}
         self.journal_records_at_failover = 0
         self.unshipped_at_promotion = 0
+
+    failovers = property(lambda self: self.monitor.total("failovers"))
+    stale_dispatches = property(
+        lambda self: self.monitor.total("stale_dispatches"))
+    #: Stale writes a machine *accepted* (possible only with the fence
+    #: disabled) — each one is a split-brain write.
+    split_brain_writes = property(
+        lambda self: self.monitor.total("split_brain_writes"))
 
     # -- replica maintenance --------------------------------------------
 
@@ -154,7 +156,6 @@ class ReplicatedControlPlane:
         believed = dict(self._believed[node])
         yield from self.scheduler.recover_scheduler(
             believed=believed, restart_cost_s=self.takeover_cost_s)
-        self.failovers += 1
         self.promoted_at[term] = self.env.now
         self.monitor.count("failovers", key=node)
         if span is not None:
@@ -194,10 +195,8 @@ class ReplicatedControlPlane:
         # rejected one-for-one (the fencing conservation law). An
         # *accepted* stale write is split-brain — the law's left side
         # stops tracking the right, and the invariant engine sees it.
-        self.stale_dispatches += 1
         self.monitor.count("stale_dispatches")
         if not self.gate.admit_dispatch(machine, term):
             rejections.append(machine)
         else:
-            self.split_brain_writes += 1
             self.monitor.count("split_brain_writes")

@@ -109,18 +109,20 @@ class LeaseElection:
         #: one term shows up as ``promotions > len(leaders_by_term)`` and
         #: trips the ``at_most_one_leader_per_term`` law.
         self.leaders_by_term = {initial_term: leader}
+        #: An int: it counts the boot leader, which the counter does not.
         self.promotions = 1
-        self.elections = 0
-        self.votes_granted = 0
-        self.votes_denied = 0
-        self.demotions = 0
-        self.stand_downs = 0
 
         for node in self.nodes:
             network.add_node(node)
             detector.register(self._key(node), renew_interval_s)
         self._procs = {n: env.process(self._node_loop(n))
                        for n in self.nodes}
+
+    elections = property(lambda self: self.monitor.total("elections"))
+    votes_granted = property(lambda self: self.monitor.total("votes_granted"))
+    votes_denied = property(lambda self: self.monitor.total("votes_denied"))
+    demotions = property(lambda self: self.monitor.total("demotions"))
+    stand_downs = property(lambda self: self.monitor.total("stand_downs"))
 
     # -- queries ---------------------------------------------------------
 
@@ -145,18 +147,18 @@ class LeaseElection:
     # -- external invalidation ------------------------------------------
 
     def depose(self, node: str) -> None:
-        """Fencing told ``node`` a higher term exists: step down.
+        """Step ``node`` down to standby with no believed leader.
 
-        The rejection proves a newer leader fenced the machines but does
-        not say who; the node drops to standby with no believed leader
-        and re-learns the leadership through renewals or denials.
+        Fencing calls this when a rejection proves a newer leader fenced
+        the machines without saying who; a leader that lost its own
+        majority abdicates the same way. The node re-learns the
+        leadership through renewals or denials.
         """
         if self._role[node] != "leader":
             return
         self._role[node] = "standby"
         self._believed_leader[node] = None
         self._last_heard[node] = self.env.now
-        self.demotions += 1
         self.monitor.count("demotions", key=node)
 
     # -- per-node state machine -----------------------------------------
@@ -175,11 +177,7 @@ class LeaseElection:
                 and now - self._last_majority[node] > self.lease_ttl_s):
             # Lost our own majority for a full TTL: a healthy leader
             # abdicates rather than keep writing on a dead lease.
-            self._role[node] = "standby"
-            self._believed_leader[node] = None
-            self._last_heard[node] = now
-            self.demotions += 1
-            self.monitor.count("demotions", key=node)
+            self.depose(node)
             return
         term = self._term[node]
         self._last_heard[node] = now
@@ -207,7 +205,6 @@ class LeaseElection:
         if self._believed_leader[observer] != leader:
             if self._role[observer] == "leader":
                 # A higher-termed leader exists: stand down immediately.
-                self.demotions += 1
                 self.monitor.count("demotions", key=observer)
             self._role[observer] = "standby"
             self._believed_leader[observer] = leader
@@ -251,7 +248,6 @@ class LeaseElection:
         self._granted[node] = term  # self-grant
         self._votes[node] = 1
         self._role[node] = "candidate"
-        self.elections += 1
         self.monitor.count("elections", key=node)
         span = None
         if self.tracer is not None:
@@ -292,14 +288,12 @@ class LeaseElection:
                  and self._role[peer] != "leader")
         if grant:
             self._granted[peer] = term
-            self.votes_granted += 1
             self.monitor.count("votes_granted", key=peer)
             self.network.send(
                 peer, candidate,
                 deliver=lambda t=term: self._receive_vote(candidate, t),
                 kind="vote")
             return
-        self.votes_denied += 1
         self.monitor.count("votes_denied", key=peer)
         self.network.send(
             peer, candidate,
@@ -326,7 +320,6 @@ class LeaseElection:
             self._term[candidate] = max(self._term[candidate], denier_term)
             self._believed_leader[candidate] = denier_leader
             self._last_heard[candidate] = self.env.now
-            self.stand_downs += 1
             self.monitor.count("stand_downs", key=candidate)
 
     def _win(self, node: str, term: int) -> None:

@@ -31,13 +31,15 @@ class FencingGate:
         self.term = 0
         self._floor: dict[str, int] = {}
         self.accepted = 0
-        #: Dispatches rejected at a machine because the token was below
-        #: the machine's fenced floor — the split-brain counter the
-        #: ``replication.fenced_writes_rejected`` law audits.
-        self.rejected = 0
-        self.fenced_reports = 0
         self.fence_raises = 0
-        self.monitor = monitor
+        self.monitor = Monitor() if monitor is None else monitor
+
+    #: Dispatches rejected at a machine because the token was below the
+    #: machine's fenced floor — the split-brain counter the
+    #: ``replication.fenced_writes_rejected`` law audits.
+    rejected = property(lambda self: self.monitor.total("fenced_rejections"))
+    fenced_reports = property(
+        lambda self: self.monitor.total("fenced_reports"))
 
     def advance(self, term: int) -> None:
         """The control plane moved to ``term`` (promotion or boot)."""
@@ -60,9 +62,7 @@ class FencingGate:
         """Machine-side check: does this dispatch outrank the fence?"""
         floor = self._floor.get(target, 0)
         if token < floor:
-            self.rejected += 1
-            if self.monitor is not None:
-                self.monitor.count("fenced_rejections", key=target)
+            self.monitor.count("fenced_rejections", key=target)
             return False
         if token > floor:
             self._floor[target] = int(token)
@@ -81,9 +81,7 @@ class FencingGate:
         retries) and teach the machine the live term.
         """
         if token < self.term:
-            self.fenced_reports += 1
-            if self.monitor is not None:
-                self.monitor.count("fenced_reports", key=target)
+            self.monitor.count("fenced_reports", key=target)
             self.raise_floor(target, self.term)
             return False
         return True

@@ -65,14 +65,16 @@ class JournalReplicator:
         self.replicas: dict[str, list[JournalRecord]] = {
             n: [] for n in all_nodes}
 
+        # Ints, not views: subclasses overriding the ship loop write them.
         self.shipped_records = 0
         self.resends = 0
-        self.acks_received = 0
         self.batches = 0
         self.duplicates = 0
         self.out_of_order = 0
 
         self._proc = env.process(self._ship_loop())
+
+    acks_received = property(lambda self: self.monitor.total("ship_acks"))
 
     def set_leader(self, node: str) -> None:
         """Promotion: ``node`` now ships to everyone else.
@@ -150,5 +152,4 @@ class JournalReplicator:
     def _receive_ack(self, standby: str, seq: int) -> None:
         if seq > self.acked[standby]:
             self.acked[standby] = seq
-        self.acks_received += 1
         self.monitor.count("ship_acks")

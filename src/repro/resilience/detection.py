@@ -213,7 +213,7 @@ class PhiAccrualDetector:
         #: ones ``"silence"`` (a regular source simply went quiet — the
         #: partition/crash signature).
         self.variance_cv = variance_cv
-        self.monitor = monitor
+        self.monitor = Monitor(env) if monitor is None else monitor
         self.name = name
         self._intervals: dict[Any, deque] = {}
         self._last: dict[Any, float] = {}
@@ -235,14 +235,17 @@ class PhiAccrualDetector:
         #: order.
         self.suspicion_log: list[tuple[Any, float, str]] = []
         self.heartbeats = 0
+        # Ints, not views: subclasses overriding is_suspect() write them.
         self.suspicions = 0
         #: Onset counts per reason tag (all-time, never decremented).
         self.suspicions_by_reason: dict[str, int] = {"silence": 0,
                                                      "variance": 0}
-        #: Suspicions later cleared by a heartbeat (wrongly accused).
-        self.false_suspicions = 0
         if poll_interval_s is not None:
             env.process(self._poll(poll_interval_s))
+
+    #: Suspicions later cleared by a heartbeat (wrongly accused).
+    false_suspicions = property(
+        lambda self: self.monitor.total(f"{self.name}_false_suspicions"))
 
     # -- observation -------------------------------------------------------
     def register(self, key: Any, expected_interval_s: float) -> None:
@@ -275,9 +278,7 @@ class PhiAccrualDetector:
         self._suspect_reasons.pop(key, None)
         if onset is not None:
             # It spoke again: the suspicion was false.
-            self.false_suspicions += 1
-            if self.monitor is not None:
-                self.monitor.count(f"{self.name}_false_suspicions", key=key)
+            self.monitor.count(f"{self.name}_false_suspicions", key=key)
 
     # -- judgment ----------------------------------------------------------
     def _window_stats(self, key: Any) -> tuple[float, float]:
@@ -345,9 +346,8 @@ class PhiAccrualDetector:
             self.suspicions += 1
             self.suspicions_by_reason[reason] += 1
             self.suspicion_log.append((key, self.env.now, reason))
-            if self.monitor is not None:
-                self.monitor.count(f"{self.name}_suspicions", key=key)
-                self.monitor.count(f"{self.name}_suspicions_{reason}")
+            self.monitor.count(f"{self.name}_suspicions", key=key)
+            self.monitor.count(f"{self.name}_suspicions_{reason}")
             return True
         return False
 

@@ -111,7 +111,6 @@ class ClusterSimulator:
         self.dispatch_timeout_s = dispatch_timeout_s
         #: Tasks dispatched to machines that were already dead.
         self._limbo: dict[int, tuple] = {}
-        self.misdispatches = 0
         #: What happens to tasks killed by a machine crash: "requeue"
         #: re-executes them elsewhere (fail-restart), "drop" loses them —
         #: the no-resilience baseline the chaos harness measures against.
@@ -194,16 +193,21 @@ class ClusterSimulator:
         #: is done on its machine (ground truth) but still believed
         #: running by the scheduler until a retry gets through.
         self._pending_reports: dict[int, tuple] = {}
-        self.scheduler_crashes = 0
-        #: Running dispatches a recovering scheduler re-adopted.
-        self.readopted = 0
-        #: Orphaned tasks a recovering scheduler requeued.
-        self.orphans_requeued = 0
         #: Completions that happened during the outage, credited at recovery.
         self.recovered_completions = 0
         self._wake = env.event()
         self._done_submitting = False
         self._scheduler = env.process(self._schedule_loop())
+
+    misdispatches = property(lambda self: self.monitor.total("misdispatches"))
+    scheduler_crashes = property(
+        lambda self: self.monitor.total("scheduler_crashes"))
+    #: Running dispatches a recovering scheduler re-adopted.
+    readopted = property(
+        lambda self: self.monitor.total("readopted_dispatches"))
+    #: Orphaned tasks a recovering scheduler requeued.
+    orphans_requeued = property(
+        lambda self: self.monitor.total("orphans_requeued"))
 
     def _journal(self, kind: str, task: Task) -> None:
         if self.journal is not None and not self._crashed:
@@ -479,7 +483,6 @@ class ClusterSimulator:
         """A dispatch to a dead machine times out and requeues the task."""
         yield self.env.timeout(self.dispatch_timeout_s)
         self._limbo.pop(task.task_id, None)
-        self.misdispatches += 1
         self.monitor.count("misdispatches")
         self._span_end(task, "misdispatch")
         task.state = TaskState.PENDING
@@ -530,7 +533,6 @@ class ClusterSimulator:
         if self._crashed:
             raise RuntimeError("scheduler is already down")
         self._crashed = True
-        self.scheduler_crashes += 1
         self.monitor.count("scheduler_crashes")
         # Reports still in network retry are now reports to a dead
         # scheduler: same fate as completions that race the crash. Drain
@@ -594,13 +596,11 @@ class ClusterSimulator:
         for task in orphans:
             self.ready.append(task)
             self._journal("requeue", task)
-            self.orphans_requeued += 1
             self.monitor.count("orphans_requeued")
         for task_id, state in believed.items():
             if state == "running":
                 if task_id in still_running:
                     # The dispatch survived the outage: adopt, don't redo.
-                    self.readopted += 1
                     self.monitor.count("readopted_dispatches")
                 elif task_id not in finished_ids:
                     # Believed running, not on any machine, not finished:
@@ -615,7 +615,6 @@ class ClusterSimulator:
                         task.start_time = None
                         self.ready.append(task)
                         self._journal("requeue", task)
-                        self.orphans_requeued += 1
                         self.monitor.count("orphans_requeued")
         self._kick()
 

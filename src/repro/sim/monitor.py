@@ -98,6 +98,12 @@ class Monitor:
     when constructed with ``ordinal_time=True`` — a per-series ordinal
     (0, 1, 2, ...). Without any of the three, :meth:`record` raises
     rather than guessing (and rather than silently dropping the sample).
+
+    A counter name has one writer per monitor: the component that counts
+    that fact. Component counters (``Network.sent``, ``Journal.appended``)
+    are read-only views over it through :meth:`total`, which never creates
+    a counter, so reading a view leaves :attr:`counters` and the registry
+    as they were.
     """
 
     def __init__(self, env=None, registry=None, namespace: str = "sim",
@@ -160,6 +166,11 @@ class Monitor:
         if key is not None:
             by_key = counter.by_key
             by_key[key] = by_key.get(key, 0) + amount
+
+    def total(self, name: str) -> int:
+        """The counter's total; 0 (and no new counter) if it never counted."""
+        counter = self.counters.get(name)
+        return 0 if counter is None else counter.total
 
     def __getitem__(self, name: str) -> TimeSeries:
         return self.series[name]

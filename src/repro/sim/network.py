@@ -61,7 +61,7 @@ class Network:
 
     # Every simulated message crosses this object; keep it dict-free.
     __slots__ = ("env", "monitor", "default_latency_s", "_nodes", "_blocks",
-                 "_drops", "_latencies", "_counters", "in_flight")
+                 "_drops", "_latencies", "in_flight")
 
     def __init__(self, env: Environment, monitor: Optional[Monitor] = None,
                  default_latency_s: float = 0.0):
@@ -76,25 +76,20 @@ class Network:
         self._blocks: list[Callable[[str, str], bool]] = []
         self._drops: list[Callable[[str, str, str], bool]] = []
         self._latencies: list[Callable[[str, str], float]] = []
-        self._counters = self.monitor.counters
         self.in_flight = 0
 
     # -- ledger views -------------------------------------------------------
-    def _total(self, outcome: str) -> int:
-        counter = self._counters.get(outcome)
-        return 0 if counter is None else counter.total
-
-    sent = property(lambda self: self._total("sent"))
-    delivered = property(lambda self: self._total(DELIVERED))
-    blocked = property(lambda self: self._total(BLOCKED))
-    dropped = property(lambda self: self._total(DROPPED))
+    sent = property(lambda self: self.monitor.total("sent"))
+    delivered = property(lambda self: self.monitor.total(DELIVERED))
+    blocked = property(lambda self: self.monitor.total(BLOCKED))
+    dropped = property(lambda self: self.monitor.total(DROPPED))
 
     @property
     def by_kind(self) -> dict[str, dict[str, int]]:
         """The ledger per message kind, in first-sent order (a copy)."""
-        columns = [(name, getattr(self._counters.get(name), "by_key", {}))
-                   for name in _LEDGER]
-        return {kind: {name: by_key.get(kind, 0) for name, by_key in columns}
+        columns = [(n, getattr(self.monitor.counters.get(n), "by_key", {}))
+                   for n in _LEDGER]
+        return {kind: {n: by_key.get(kind, 0) for n, by_key in columns}
                 for kind in columns[0][1]}
 
     # -- topology ----------------------------------------------------------

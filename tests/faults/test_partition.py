@@ -136,6 +136,23 @@ class TestNetworkPartitionModel:
         assert seen == [("split", 5.0), ("heal", 8.0),
                         ("split", 12.0), ("heal", 14.0)]
 
+    def test_simultaneous_edges_count_and_cut_both_groups(self):
+        # Two episodes that start and end at the same instant: the
+        # timeline orders edges by time and kind, never by episode.
+        env = Environment()
+        net = Network(env)
+        net.add_nodes(["a", "b", "c"])
+        model = net.attach(NetworkPartitionModel(
+            env, groups={"east": ["a"], "west": ["b"]},
+            episodes=[PartitionEpisode(5.0, 10.0, "east"),
+                      PartitionEpisode(5.0, 10.0, "west")]))
+        env.run(until=7.0)
+        assert not net.allows("a", "c")
+        assert not net.allows("b", "c")
+        env.run(until=20.0)
+        assert model.splits == model.heals == 2
+        assert net.allows("a", "c") and net.allows("b", "c")
+
     def test_isolated_nodes(self):
         env = Environment()
         _, model = make_partitioned(

@@ -132,6 +132,16 @@ class TestMonitorCounter:
         assert mon.counters["events"].total == 3
         assert "events" in mon
 
+    def test_total_of_an_absent_name_creates_nothing(self):
+        mon = Monitor(namespace="ns")
+        mon.count("sent", key="a")
+        counters, snapshot = list(mon.counters), mon.registry.snapshot()
+        assert mon.total("sent") == 1
+        assert mon.total("never") == 0
+        assert list(mon.counters) == counters
+        assert mon.registry.snapshot() == snapshot
+        assert "never" not in mon
+
     @pytest.mark.parametrize("seed", range(4))
     def test_count_matches_counter_incr(self, seed):
         """``count`` creates counters lazily in first-use order and books
