@@ -6,7 +6,9 @@ the policy with the best predicted objective. Two phenomena from the
 paper's studies are modelled explicitly:
 
 - **online simulation cost** grows with #policies × system size — the
-  [114] problem that made full portfolios too slow to run online;
+  [114] problem that made full portfolios too slow to run online. The
+  modeled cost counts every candidate simulated, even when candidates
+  that order the queue alike share one prediction here;
 - the **active set** ([115]): only the top-k recently-best policies are
   simulated each epoch (with periodic full refreshes), trading a little
   decision quality for bounded online cost.
@@ -42,6 +44,19 @@ class PortfolioConfig:
     #: EWMA smoothing of per-policy predicted objectives.
     ewma_alpha: float = 0.4
 
+    def __post_init__(self) -> None:
+        # Written as ``not (x > 0)`` so that NaN is rejected too.
+        if not self.decision_interval_s > 0:
+            raise ValueError("decision_interval_s must be positive")
+        if self.active_set_size is not None and self.active_set_size < 1:
+            raise ValueError("active_set_size must be None or >= 1")
+        if self.full_refresh_epochs < 1:
+            raise ValueError("full_refresh_epochs must be >= 1")
+        if not 0 < self.ewma_alpha <= 1:
+            raise ValueError("ewma_alpha must be in (0, 1]")
+        if not self.sim_cost_per_task_s >= 0:
+            raise ValueError("sim_cost_per_task_s must be non-negative")
+
 
 @dataclass
 class PortfolioStats:
@@ -60,19 +75,24 @@ class PortfolioStats:
 
 def predict_objective(policy: Policy,
                       queued: Sequence, running: Sequence[tuple[float, int]],
-                      total_cores: int, now: float) -> float:
+                      total_cores: int, now: float,
+                      order: Optional[Sequence] = None) -> float:
     """Fast list-schedule prediction of mean bounded slowdown.
 
     ``queued`` are Task-like objects (uses cores, submit_time, and
     runtime_estimate/work); ``running`` is (estimated_finish, cores)
-    pairs. Placement ignores per-machine fragmentation — it is a
-    *predictor*, deliberately cheaper than the real simulator.
+    pairs. ``order`` is ``policy.order(queued, now)`` when the caller
+    already has it (the default computes it); the same order always
+    predicts the same float. Placement ignores per-machine fragmentation
+    — it is a *predictor*, deliberately cheaper than the real simulator.
     """
-    # Hot path (one call per policy per decision epoch): pre-bound heap
-    # ops and plain comparisons instead of builtins. Each ``b if b > a
-    # else a`` returns the same float as ``max(a, b)``, ties included.
+    # Hot path (one call per distinct candidate order per decision
+    # epoch): pre-bound heap ops and plain comparisons instead of
+    # builtins. Each ``b if b > a else a`` returns the same float as
+    # ``max(a, b)``, ties included.
     heappop = heapq.heappop
     heappush = heapq.heappush
+    heapreplace = heapq.heapreplace
     bound = SLOWDOWN_BOUND_S
     heap = list(running)
     heapq.heapify(heap)
@@ -81,21 +101,33 @@ def predict_objective(policy: Policy,
         free -= cores
     t = now
     total_slowdown = 0.0
-    order = policy.order(queued, now)
+    if order is None:
+        order = policy.order(queued, now)
     for task in order:
         estimate = task.runtime_estimate or task.work
         need = task.cores
-        while free < need and heap:
-            finish, cores = heappop(heap)
-            if finish > t:
-                t = finish
-            free += cores
-        if free < need:
-            # Even an empty system cannot host it; treat as unplaceable.
-            total_slowdown += 1000.0
-            continue
-        free -= need
-        heappush(heap, (t + estimate, need))
+        if free >= need:
+            free -= need
+            heappush(heap, (t + estimate, need))
+        else:
+            # Wait for releases, earliest first. The release that makes
+            # room is replaced by this task's own in one sift: entries are
+            # plain tuples, so the heap pops the same values as after a
+            # pop and a push.
+            while heap:
+                finish, cores = heap[0]
+                if finish > t:
+                    t = finish
+                free += cores
+                if free >= need:
+                    free -= need
+                    heapreplace(heap, (t + estimate, need))
+                    break
+                heappop(heap)
+            else:
+                # Even an empty system cannot host it; treat as unplaceable.
+                total_slowdown += 1000.0
+                continue
         slowdown = ((t - task.submit_time) + estimate) / (
             bound if bound > estimate else estimate)
         total_slowdown += 1.0 if 1.0 > slowdown else slowdown
@@ -157,12 +189,23 @@ class PortfolioScheduler:
         queued, running = self._snapshot()
         candidates = self._candidates()
         system_size = len(queued) + len(running)
+        total_cores = self.simulator.cluster.total_cores
+        now = self.env.now
         best_policy = self.simulator.policy
         best_score = float("inf")
+        # Candidates that order the queue alike (fcfs and backfill always;
+        # fair-share too while one user is queued) share one prediction.
+        # The modeled cost below still counts every candidate.
+        predicted: list[tuple[list, float]] = []
         for policy in candidates:
-            score = predict_objective(
-                policy, queued, running,
-                self.simulator.cluster.total_cores, self.env.now)
+            order = policy.order(queued, now)
+            for seen, score in predicted:
+                if seen == order:
+                    break
+            else:
+                score = predict_objective(policy, queued, running,
+                                          total_cores, now, order)
+                predicted.append((order, score))
             self.stats.simulated_policy_epochs += 1
             self.stats.total_sim_cost_s += (
                 self.config.sim_cost_per_task_s * system_size)

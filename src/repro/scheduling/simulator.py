@@ -738,11 +738,13 @@ class ClusterSimulator:
         self._journal("complete", task)
         if isinstance(self.policy, FairSharePolicy):
             self.policy.charge(task.user, task.cores * runtime)
-        # Unlock workflow successors.
+        # Unlock workflow successors. A PENDING successor held in
+        # ``_orphaned`` was already submitted and started once; recovery
+        # requeues it, so unlocking it here would start it twice.
         workflow = self._workflows.get(task.job_id)
         if workflow is not None:
             for succ in workflow.ready_tasks():
-                if succ not in self.ready:
+                if succ not in self.ready and succ not in self._orphaned:
                     self.ready.append(succ)
                     self.submitted += 1
                     self._journal("submit", succ)

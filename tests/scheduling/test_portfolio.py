@@ -18,11 +18,12 @@ from repro.scheduling import (
     SJFPolicy,
     run_table9_cell,
 )
+from repro.scheduling import portfolio as portfolio_module
 from repro.scheduling.experiments import rescale_to_load, run_portfolio, run_static
 from repro.scheduling.portfolio import predict_objective
 from repro.scheduling.simulator import SLOWDOWN_BOUND_S
 from repro.sim import Environment, RandomStreams
-from repro.workload import BagOfTasks, Task
+from repro.workload import BagOfTasks, Task, Workflow
 
 
 def bag(works, submit=0.0):
@@ -134,6 +135,11 @@ class TestPredictObjectiveOracle:
             want = _oracle_objective(make(), queued, running, total_cores,
                                      now)
             assert _bits(got) == _bits(want), (make.name, got, want)
+            # The caller's own order, as the portfolio passes it.
+            policy = make()
+            given = predict_objective(policy, queued, running, total_cores,
+                                      now, order=policy.order(queued, now))
+            assert _bits(given) == _bits(want), (make.name, given, want)
         # order() hands back a new list; the caller's queue is untouched.
         assert all(a is b for a, b in zip(queued, snapshot))
         assert len(queued) == len(snapshot)
@@ -230,6 +236,162 @@ class TestPortfolioScheduler:
                                FCFSPolicy())
         with pytest.raises(ValueError):
             PortfolioScheduler(env, sim, [FCFSPolicy(), FCFSPolicy()])
+
+
+class TestPortfolioConfigValidation:
+    @pytest.mark.parametrize("kwargs", [
+        {"decision_interval_s": 0.0},
+        {"decision_interval_s": -1.0},
+        {"decision_interval_s": float("nan")},
+        {"active_set_size": 0},
+        {"full_refresh_epochs": 0},
+        {"ewma_alpha": 0.0},
+        {"ewma_alpha": 1.5},
+        {"ewma_alpha": float("nan")},
+        {"sim_cost_per_task_s": -0.001},
+        {"sim_cost_per_task_s": float("nan")},
+    ])
+    def test_rejects_values_that_hang_or_crash_a_run(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            PortfolioConfig(**kwargs)
+
+    def test_accepts_the_edges(self):
+        PortfolioConfig(decision_interval_s=1e-9, active_set_size=1,
+                        full_refresh_epochs=1, ewma_alpha=1.0,
+                        sim_cost_per_task_s=0.0)
+
+
+class _PredictEveryCandidate(PortfolioScheduler):
+    """The decision as first written: predict every candidate, even when
+    two candidates order the queue alike. The reference the
+    one-prediction-per-distinct-order decision must reproduce."""
+
+    def _decide(self):
+        queued, running = self._snapshot()
+        candidates = self._candidates()
+        system_size = len(queued) + len(running)
+        best_policy = self.simulator.policy
+        best_score = float("inf")
+        for policy in candidates:
+            score = predict_objective(
+                policy, queued, running,
+                self.simulator.cluster.total_cores, self.env.now)
+            self.stats.simulated_policy_epochs += 1
+            self.stats.total_sim_cost_s += (
+                self.config.sim_cost_per_task_s * system_size)
+            alpha = self.config.ewma_alpha
+            self._scores[policy.name] = (
+                alpha * score + (1 - alpha) * self._scores[policy.name])
+            if score < best_score:
+                best_score = score
+                best_policy = policy
+        return best_policy
+
+
+def _jobs(seed, users):
+    """Bags cycling through ``users``, plus a workflow of user
+    ``"default"``. With one user, fcfs, backfill and fair-share order
+    alike; with ``u0`` charged up front (see ``_run_portfolio_on``),
+    fair-share orders a ``u0``/``u1`` queue unlike fcfs."""
+    rng = RandomStreams(seed=seed).get("portfolio-jobs")
+    jobs = []
+    for j in range(5):
+        tasks = []
+        for _ in range(int(rng.integers(3, 12))):
+            work = float(rng.uniform(5, 300))
+            task = Task(work=work, cores=int(rng.integers(1, 5)))
+            task.runtime_estimate = rng.choice(
+                [None, 0.0, work, work * float(rng.uniform(0.3, 3.0))])
+            tasks.append(task)
+        submit = float(rng.uniform(0, 400))
+        if j == 4:
+            edges = [(tasks[i].task_id, tasks[i + 1].task_id)
+                     for i in range(0, len(tasks) - 1, 2)]
+            jobs.append(Workflow(tasks, edges, submit_time=submit))
+        else:
+            jobs.append(BagOfTasks(tasks, submit_time=submit,
+                                   user=users[j % len(users)]))
+    return jobs
+
+
+SINGLE_USER = ("default",)
+MULTI_USER = ("u0", "u1")
+
+
+def _run_portfolio_on(scheduler_cls, jobs, config):
+    env = Environment()
+    sim = ClusterSimulator(env, Cluster.homogeneous("c", 2, cores=4),
+                           FCFSPolicy())
+    fair_share = FairSharePolicy()
+    fair_share.charge("u0", 5000.0)
+    pf = scheduler_cls(env, sim, [FCFSPolicy(), SJFPolicy(), LJFPolicy(),
+                                  BackfillPolicy(), fair_share], config)
+    sim.submit_jobs(jobs)
+    env.run()
+    return sim, pf
+
+
+def _outcome(sim, pf):
+    stats = pf.stats
+    return (stats.selections, stats.policy_use_epochs, stats.switches,
+            stats.simulated_policy_epochs, _bits(stats.total_sim_cost_s),
+            {name: _bits(score) for name, score in pf._scores.items()},
+            _bits(sim.metrics().objective()))
+
+
+class TestOnePredictionPerDistinctOrder:
+    """Candidates that order the queue alike share one prediction, and
+    every recorded result matches predicting each candidate afresh."""
+
+    @pytest.mark.parametrize("users,config", [
+        (SINGLE_USER, PortfolioConfig(decision_interval_s=40.0)),
+        (MULTI_USER, PortfolioConfig(decision_interval_s=40.0)),
+        (MULTI_USER, PortfolioConfig(decision_interval_s=40.0,
+                                     active_set_size=2,
+                                     full_refresh_epochs=3)),
+    ], ids=["single-user", "multi-user", "active-set-2"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_decisions_as_predicting_every_candidate(
+            self, users, config, seed):
+        got = _outcome(*_run_portfolio_on(PortfolioScheduler,
+                                          _jobs(seed, users), config))
+        want = _outcome(*_run_portfolio_on(_PredictEveryCandidate,
+                                           _jobs(seed, users), config))
+        assert got == want
+
+    @pytest.mark.parametrize("users", [SINGLE_USER, MULTI_USER],
+                             ids=["single-user", "multi-user"])
+    def test_one_prediction_per_distinct_order(self, monkeypatch, users):
+        calls = []
+        predict = portfolio_module.predict_objective
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].name)
+            return predict(*args, **kwargs)
+
+        monkeypatch.setattr(portfolio_module, "predict_objective", counted)
+        distinct = []
+        candidates_seen = []
+        decide = PortfolioScheduler._decide
+
+        def audited(self):
+            queued, _ = self._snapshot()
+            orders = {tuple(id(t) for t in p.order(queued, self.env.now))
+                      for p in self._candidates()}
+            distinct.append(len(orders))
+            candidates_seen.append(len(self._candidates()))
+            return decide(self)
+
+        monkeypatch.setattr(PortfolioScheduler, "_decide", audited)
+        _, pf = _run_portfolio_on(PortfolioScheduler, _jobs(0, users),
+                                  PortfolioConfig(decision_interval_s=40.0))
+        assert len(calls) == sum(distinct)
+        assert len(calls) < sum(candidates_seen)
+        assert pf.stats.simulated_policy_epochs == sum(candidates_seen)
+        # backfill always reuses fcfs's prediction; fair-share does too
+        # while all queued tasks belong to one user.
+        assert "backfill" not in calls
+        assert ("fair-share" in calls) == (users is MULTI_USER)
 
 
 class TestTable9:

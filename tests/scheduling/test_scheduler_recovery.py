@@ -134,6 +134,41 @@ class TestOutageReconciliation:
         assert len(sim.finished) == 2
         assert b.start_time >= 25.0
 
+    def test_orphaned_workflow_successor_starts_once_after_recovery(self):
+        env = Environment()
+        cluster = Cluster.homogeneous("c", 2, cores=1)
+        sim = ClusterSimulator(env, cluster, FCFSPolicy(),
+                               journal=Journal(env))
+        r, x, y = Task(work=10.0), Task(work=20.0), Task(work=100.0)
+        sim.submit_jobs([Workflow([r, x, y], edges=[
+            (r.task_id, x.task_id), (r.task_id, y.task_id)])])
+        starts = []
+        start = sim._start
+
+        def spy(task, machine):
+            starts.append((env.now, task))
+            start(task, machine)
+        sim._start = spy
+
+        def driver():
+            yield env.timeout(15.0)
+            sim.crash_scheduler()
+            yield env.timeout(20.0)
+            # x finished at 30, unreported; y's machine dies: y is orphaned.
+            machine = next(m for t, m, _ in sim.running.values() if t is y)
+            machine.fail()
+            sim.handle_machine_failure(machine)
+            yield env.timeout(1.0)
+            machine.repair()
+            yield from sim.recover_scheduler()
+        env.process(driver())
+        env.run()
+        # Reporting x must not unlock the orphan y a second time.
+        assert [t for now, t in starts if now > 36.0] == [y]
+        assert sorted(t.task_id for t in sim.finished) == sorted(
+            t.task_id for t in (r, x, y))
+        assert sim.submitted == 3
+
 
 class TestEndToEndUnderMachineFaults:
     @pytest.mark.parametrize("seed", [0, 7, 19, 42])
