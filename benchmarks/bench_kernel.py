@@ -180,8 +180,8 @@ def workload_p2p(scale: float = 1.0) -> Environment:
 
 
 def workload_serverless(scale: float = 1.0) -> Environment:
-    """Invocations contending on a container pool: acquire, run,
-    release — the FaaS platform's Resource-bound event shape."""
+    """Invocations contending on a capacity-limited :class:`Resource`
+    pool: acquire, run, release (a synthetic claim-and-release shape)."""
     env = Environment()
     pool = Resource(env, capacity=max(2, int(8 * scale)))
     n_invocations = max(20, int(6000 * scale))

@@ -122,7 +122,5 @@ SLOTS_REQUIRED: frozenset[str] = frozenset({
 EVENT_LOOP_FUNCTIONS: frozenset[str] = frozenset({
     "repro.sim.environment.Environment.run",
     "repro.sim.network.Network.send",
-    "repro.sim.resources.Store._dispatch",
-    "repro.sim.resources.Container._dispatch",
     "repro.scheduling.simulator.ClusterSimulator._try_schedule",
 })

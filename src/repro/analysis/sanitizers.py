@@ -131,10 +131,9 @@ class DeterminismSanitizer:
 class ResourceLeakSanitizer:
     """Audits outstanding acquisitions on tracked resources at teardown.
 
-    Works with the kernel's :class:`~repro.sim.Resource` family (``users``
-    /``queue``), :class:`~repro.cluster.machine.Machine` (``used_cores``/
-    ``used_memory_gb``), and :class:`~repro.sim.Container` (negative
-    levels can't happen in-kernel, but a floor can be asserted).
+    Works with the kernel's :class:`~repro.sim.Resource` (``users``/
+    ``queue``) and :class:`~repro.cluster.machine.Machine` (``used_cores``/
+    ``used_memory_gb``).
     """
 
     def __init__(self):
@@ -166,9 +165,6 @@ class ResourceLeakSanitizer:
             if used_mem:
                 problems.append(
                     f"{label}: {used_mem} GB still allocated")
-            level = getattr(obj, "level", None)
-            if level is not None and level < 0:
-                problems.append(f"{label}: negative level {level}")
         return problems
 
     def check(self) -> None:

@@ -58,6 +58,21 @@ class PlatformConfig:
     #: rejected, never silently backlogged.
     queue_capacity: int = 0
 
+    def __post_init__(self) -> None:
+        # Written as ``not (x >= 0)`` so that NaN is rejected too.
+        for name in ("cold_start_s", "keep_alive_s", "price_per_gb_s"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative")
+        limit = self.concurrency_limit
+        if limit is not None and limit < 1:
+            raise ValueError("concurrency_limit must be None or >= 1")
+        if self.prewarmed < 0:
+            raise ValueError("prewarmed must be non-negative")
+        if limit is not None and self.prewarmed > limit:
+            raise ValueError("prewarmed must not exceed concurrency_limit")
+        if self.queue_capacity < 0:
+            raise ValueError("queue_capacity must be non-negative")
+
 
 @dataclass(slots=True)
 class Invocation:
@@ -167,14 +182,7 @@ class FaaSPlatform:
         self._pools[spec.name] = pool
         if self.config.queue_capacity > 0:
             self._queues[spec.name] = BoundedQueue(
-                self.env, self.config.queue_capacity, policy="reject")
-
-    def undeploy(self, name: str) -> None:
-        if name not in self.functions:
-            raise KeyError(name)
-        del self.functions[name]
-        del self._pools[name]
-        self._queues.pop(name, None)
+                self.env, self.config.queue_capacity)
 
     def warm_instances(self, name: str) -> int:
         now = self.env.now

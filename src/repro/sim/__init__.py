@@ -14,13 +14,9 @@ Public surface:
 - :class:`Ticker` — a pure-delay process on the kernel's timeout fast
   path (yields raw delays or ``(period, n)`` batches instead of events).
 - :class:`Interrupt` — exception thrown into interrupted processes.
-- :class:`Resource`, :class:`PriorityResource`, :class:`PreemptiveResource`
-  — capacity-limited resources with FIFO / priority / preemptive queueing.
-- :class:`Container` — continuous level (e.g., energy budget, tokens).
-- :class:`Store`, :class:`FilterStore`, :class:`PriorityStore` — object
-  queues between processes.
-- :class:`BoundedQueue` — capacity-bounded FIFO that rejects or sheds on
-  overflow (the backpressure primitive of the resilience layer).
+- :class:`Resource` — a capacity-limited resource with a FIFO queue.
+- :class:`BoundedQueue` — capacity-bounded FIFO that rejects arrivals
+  when full (the FaaS platform's front-door queue).
 - :class:`Network` — fault-aware message routing between named nodes
   (partitions, loss, and latency attach as duck-typed fault models).
 - :class:`RandomStreams` — named, reproducible RNG streams.
@@ -59,17 +55,7 @@ from repro.sim.environment import (
     TIME_EPSILON,
     time_eq,
 )
-from repro.sim.resources import (
-    BoundedQueue,
-    Container,
-    FilterStore,
-    PreemptiveResource,
-    Preempted,
-    PriorityResource,
-    PriorityStore,
-    Resource,
-    Store,
-)
+from repro.sim.resources import BoundedQueue, Resource
 from repro.sim.rng import RandomStreams
 from repro.sim.monitor import Counter, Monitor, TimeSeries, summarize
 from repro.sim.network import Network
@@ -79,27 +65,20 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "BoundedQueue",
-    "Container",
     "Counter",
     "DebugViolation",
     "Environment",
     "Event",
-    "FilterStore",
     "Interrupt",
     "METRIC_NAME_RE",
     "MetricsRegistry",
     "metric_name",
     "Monitor",
     "Network",
-    "Preempted",
-    "PreemptiveResource",
-    "PriorityResource",
-    "PriorityStore",
     "Process",
     "RandomStreams",
     "Resource",
     "StopSimulation",
-    "Store",
     "TIME_EPSILON",
     "Ticker",
     "TimeSeries",

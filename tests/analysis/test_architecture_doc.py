@@ -5,6 +5,7 @@ compared — package set *and* allowed-dependency sets — against the
 checked-in manifest ``repro.analysis.layers.LAYERS``.
 """
 
+import importlib
 import re
 from pathlib import Path
 
@@ -63,7 +64,8 @@ def test_harness_overrides_are_documented():
 def test_hot_path_registries_are_consistent():
     # Every event-loop function and slots-required class lives in a file
     # the hot-file registry covers — the manifest cannot contradict
-    # itself.
+    # itself — and names code that exists: SL009 skips a name it cannot
+    # find, so a stale entry would silently shrink its scope.
     modules = {s[:-3].replace("/", ".") for s in HOT_FILE_SUFFIXES}
     for qual in EVENT_LOOP_FUNCTIONS | SLOTS_REQUIRED:
         module = ".".join(qual.split(".")[:-1])
@@ -71,3 +73,7 @@ def test_hot_path_registries_are_consistent():
             module = ".".join(qual.split(".")[:-2])
         assert any(module.endswith(m) for m in modules), (
             f"{qual} is not inside a HOT_FILE_SUFFIXES module")
+        obj = importlib.import_module(module)
+        for attr in qual[len(module) + 1:].split("."):
+            assert hasattr(obj, attr), f"{qual} does not resolve"
+            obj = getattr(obj, attr)

@@ -20,6 +20,24 @@ class TestFunctionSpec:
             FunctionSpec("f", runtime_s=1, memory_gb=0)
 
 
+class TestPlatformConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"cold_start_s": -1.0},
+        {"cold_start_s": float("nan")},
+        {"keep_alive_s": -1.0},
+        {"keep_alive_s": float("nan")},
+        {"price_per_gb_s": -0.1},
+        {"price_per_gb_s": float("nan")},
+        {"concurrency_limit": 0},
+        {"prewarmed": -2},
+        {"concurrency_limit": 1, "prewarmed": 3},
+        {"queue_capacity": -3},
+    ])
+    def test_rejects_values_that_hang_or_break_the_cap(self, kwargs):
+        with pytest.raises(ValueError):
+            PlatformConfig(**kwargs)
+
+
 class TestLifecycle:
     def test_deploy_undeploy(self):
         env = Environment()
@@ -27,9 +45,6 @@ class TestLifecycle:
         assert "f" in platform.functions
         with pytest.raises(ValueError):
             platform.deploy(FunctionSpec("f", runtime_s=1))
-        platform.undeploy("f")
-        with pytest.raises(KeyError):
-            platform.undeploy("f")
 
     def test_invoke_unknown_function(self):
         env = Environment()

@@ -4,12 +4,7 @@ import pytest
 
 from repro.cluster import Cloud, VMState
 from repro.cluster.cost import CostModel
-from repro.sim import (
-    AnyOf,
-    Environment,
-    PriorityResource,
-    Resource,
-)
+from repro.sim import AnyOf, Environment, Resource
 
 
 class TestEventTrigger:
@@ -73,38 +68,6 @@ class TestConditionFailure:
         env.process(waiter(env, proc))
         env.run()
         assert caught == [1]
-
-
-class TestPriorityResourceRelease:
-    def test_cancel_queued_priority_request(self):
-        env = Environment()
-        res = PriorityResource(env, capacity=1)
-        order = []
-
-        def holder(env):
-            with res.request(priority=0) as req:
-                yield req
-                yield env.timeout(10)
-
-        def quitter(env):
-            req = res.request(priority=1)
-            result = yield req | env.timeout(2)
-            if req not in result:
-                res.release(req)  # withdraw from the priority queue
-                order.append("gave-up")
-
-        def patient(env):
-            yield env.timeout(1)
-            with res.request(priority=2) as req:
-                yield req
-                order.append(("got-it", env.now))
-
-        env.process(holder(env))
-        env.process(quitter(env))
-        env.process(patient(env))
-        env.run()
-        assert "gave-up" in order
-        assert ("got-it", 10) in order
 
 
 class TestCloudEdgeCases:

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Container, Environment, Resource, Store
+from repro.sim import BoundedQueue, Environment, Resource
 
 
 @given(delays=st.lists(st.floats(min_value=0, max_value=1000,
@@ -51,75 +51,25 @@ def test_resource_never_exceeds_capacity(capacity, holds):
 
 
 @given(
-    puts=st.lists(st.floats(min_value=0.1, max_value=5, allow_nan=False),
-                  min_size=1, max_size=20),
-)
-@settings(max_examples=50, deadline=None)
-def test_container_conserves_mass(puts):
-    """Total put == level + total got; level stays within bounds."""
-    env = Environment()
-    tank = Container(env, capacity=sum(puts) + 1)
-    got = []
-
-    def producer(env, tank, amount):
-        yield tank.put(amount)
-
-    def consumer(env, tank, amount):
-        yield tank.get(amount)
-        got.append(amount)
-
-    for amount in puts:
-        env.process(producer(env, tank, amount))
-    # Consume half of them.
-    for amount in puts[: len(puts) // 2]:
-        env.process(consumer(env, tank, amount))
-    env.run()
-    assert tank.level >= -1e-9
-    assert abs(sum(puts) - (tank.level + sum(got))) < 1e-9
-
-
-@given(items=st.lists(st.integers(), min_size=0, max_size=40))
-@settings(max_examples=50, deadline=None)
-def test_store_preserves_all_items_in_order(items):
-    env = Environment()
-    store = Store(env)
-    received = []
-
-    def producer(env, store):
-        for item in items:
-            yield store.put(item)
-
-    def consumer(env, store):
-        for _ in items:
-            received.append((yield store.get()))
-
-    env.process(producer(env, store))
-    env.process(consumer(env, store))
-    env.run()
-    assert received == items
-
-
-@given(
     capacity=st.integers(min_value=1, max_value=6),
-    policy=st.sampled_from(["reject", "shed-oldest"]),
     arrivals=st.lists(st.floats(min_value=0.0, max_value=50,
                                 allow_nan=False), min_size=1, max_size=30),
     drain_every=st.floats(min_value=0.5, max_value=20, allow_nan=False),
 )
 @settings(max_examples=50, deadline=None)
-def test_bounded_queue_never_exceeds_capacity(capacity, policy, arrivals,
+def test_bounded_queue_never_exceeds_capacity(capacity, arrivals,
                                               drain_every):
     """Occupancy stays <= capacity and the offer accounting balances."""
-    from repro.sim import BoundedQueue
-
     env = Environment()
-    queue = BoundedQueue(env, capacity=capacity, policy=policy)
+    queue = BoundedQueue(env, capacity=capacity)
     max_len = [0]
+    accepted = [0]
     popped = [0]
 
     def producer(env, queue, at, item):
         yield env.timeout(at)
-        queue.offer(item)
+        if queue.offer(item):
+            accepted[0] += 1
         max_len[0] = max(max_len[0], len(queue))
 
     def consumer(env, queue):
@@ -133,9 +83,7 @@ def test_bounded_queue_never_exceeds_capacity(capacity, policy, arrivals,
     env.process(consumer(env, queue))
     env.run(until=max(arrivals) + 1.0)
     assert max_len[0] <= capacity
-    assert queue.offered == len(arrivals)
-    assert queue.accepted + queue.rejected == queue.offered
-    assert queue.accepted == popped[0] + queue.shed + len(queue)
+    assert accepted[0] == popped[0] + len(queue)
 
 
 @given(
