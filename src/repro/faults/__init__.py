@@ -6,8 +6,8 @@ This package provides the two halves of that evaluation on top of
 :mod:`repro.sim`:
 
 - **fault models** (:mod:`repro.faults.models`) — crash/restart, transient
-  per-operation errors, stragglers, correlated bursts, and message loss,
-  all driven by seeded RNG streams for deterministic replay;
+  per-operation errors, stragglers, and piece loss on a transfer, all
+  driven by seeded RNG streams for deterministic replay;
 - **partition & gray-failure models** (:mod:`repro.faults.partition`) —
   scheduled network splits over named node-groups (including one-way
   cuts) and heartbeat-alive-but-degraded nodes, attachable to the
@@ -15,9 +15,9 @@ This package provides the two halves of that evaluation on top of
 - **typed fault episodes** (:mod:`repro.faults.episodes`) — one fault
   of a known kind over a sim-time window, the fault plan the composed
   chaos worlds and the campaign's schedules share;
-- **resilience policies** (:mod:`repro.faults.policies`) — retry with
-  backoff, timeouts, circuit breaking, and hedging, as composable
-  sim-process combinators any domain can wrap around its operations.
+- **resilience policies** (:mod:`repro.faults.policies`) — the retry
+  backoff schedule the FaaS platform follows, and hedging as a
+  sim-process combinator any domain can wrap around its operations.
 
 The chaos harness (:mod:`repro.faults.chaos`) crosses the two into a
 scenario matrix and reports availability/SLO attainment per cell; see
@@ -26,9 +26,7 @@ repro.faults import chaos``) because it pulls in the experiment domains.
 """
 
 from repro.faults.models import (
-    CorrelatedBurst,
     CrashRestart,
-    FaultInjectedError,
     MessageLossModel,
     StragglerModel,
     TransientErrorModel,
@@ -39,24 +37,10 @@ from repro.faults.partition import (
     PartitionEpisode,
     ScheduledMessageLoss,
 )
-from repro.faults.policies import (
-    BreakerState,
-    CircuitBreaker,
-    CircuitOpenError,
-    Hedge,
-    RetryPolicy,
-    TimeoutExceeded,
-    as_event,
-    with_timeout,
-)
+from repro.faults.policies import Hedge, RetryPolicy, as_event
 
 __all__ = [
-    "BreakerState",
-    "CircuitBreaker",
-    "CircuitOpenError",
-    "CorrelatedBurst",
     "CrashRestart",
-    "FaultInjectedError",
     "GrayFailureModel",
     "Hedge",
     "MessageLossModel",
@@ -65,8 +49,6 @@ __all__ = [
     "RetryPolicy",
     "ScheduledMessageLoss",
     "StragglerModel",
-    "TimeoutExceeded",
     "TransientErrorModel",
     "as_event",
-    "with_timeout",
 ]

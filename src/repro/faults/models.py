@@ -11,10 +11,7 @@ misbehavior on top of :mod:`repro.sim`:
   (the serverless "function invocation errored" model);
 - :class:`StragglerModel` — per-operation latency multiplier (slow, not
   dead — the graph-analytics straggler);
-- :class:`CorrelatedBurst` — one event takes down a random fraction of
-  targets at once (rack/switch/AZ blast radius);
-- :class:`MessageLossModel` — payload loss on a lossy channel, with
-  re-request accounting (the P2P piece-exchange model).
+- :class:`MessageLossModel` — piece loss on a lossy transfer channel.
 
 All randomness comes from caller-provided seeded ``numpy`` generators so
 every chaotic run replays deterministically (Challenge C3).
@@ -22,16 +19,12 @@ every chaotic run replays deterministically (Challenge C3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.sim import Environment, Monitor
-
-
-class FaultInjectedError(RuntimeError):
-    """An error injected by a fault model (distinguishable from real bugs)."""
 
 
 @dataclass
@@ -63,11 +56,6 @@ class TransientErrorModel:
         if hit:
             self.injected += 1
         return hit
-
-    def maybe_raise(self, what: str = "operation") -> None:
-        """Raise :class:`FaultInjectedError` with probability ``error_rate``."""
-        if self.should_fail():
-            raise FaultInjectedError(f"injected transient error in {what}")
 
 
 @dataclass
@@ -102,8 +90,7 @@ class MessageLossModel:
     """Loss on a lossy transfer channel, at ~1 MB piece granularity.
 
     :meth:`transfer` returns the goodput of an attempted transfer and books
-    the lost remainder as re-requested work (the sender's bandwidth is spent
-    either way; the receiver must fetch the lost pieces again).
+    the lost remainder (the sender's bandwidth is spent either way).
     """
 
     rng: np.random.Generator
@@ -168,7 +155,7 @@ class CrashRestart:
                  on_repair: Optional[Callable[[Any], None]] = None,
                  monitor: Optional[Monitor] = None,
                  name: str = "crash"):
-        if mtbf_s <= 0 or mttr_s <= 0:
+        if not (mtbf_s > 0 and mttr_s > 0):  # NaN fails too
             raise ValueError("mtbf_s and mttr_s must be positive")
         self.env = env
         self.targets = list(targets)
@@ -206,7 +193,7 @@ class CrashRestart:
             yield self.env.timeout(float(self.rng.exponential(self.mttr_s)))
             self.repair_now(target)
 
-    # -- manual triggers (used by the burst model and tests) ---------------
+    # -- manual triggers --------------------------------------------------
     def fail_now(self, target: Any) -> None:
         self._fail(target)
         self._down_since[id(target)] = self.env.now
@@ -239,64 +226,3 @@ class CrashRestart:
         down = self._downtime_s + sum(
             until - since for since in self._down_since.values())
         return 1.0 - down / (horizon * len(self.targets))
-
-
-class CorrelatedBurst:
-    """Correlated failure bursts: at Exp(mean_interval) epochs, a random
-    ``fraction`` of currently-up targets crash together (shared switch,
-    rack power, AZ outage). Victims repair independently after Exp(mttr).
-    """
-
-    def __init__(self, env: Environment, targets: Sequence[Any],
-                 rng: np.random.Generator,
-                 mean_interval_s: float, fraction: float = 0.25,
-                 mttr_s: float = 120.0,
-                 fail: Callable[[Any], None] = _default_fail,
-                 repair: Callable[[Any], None] = _default_repair,
-                 is_up: Callable[[Any], bool] = _default_is_up,
-                 on_fail: Optional[Callable[[Any], None]] = None,
-                 monitor: Optional[Monitor] = None):
-        if mean_interval_s <= 0 or mttr_s <= 0:
-            raise ValueError("mean_interval_s and mttr_s must be positive")
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError(f"fraction {fraction} not in (0, 1]")
-        self.env = env
-        self.targets = list(targets)
-        self.rng = rng
-        self.mean_interval_s = mean_interval_s
-        self.fraction = fraction
-        self.mttr_s = mttr_s
-        self._fail = fail
-        self._repair = repair
-        self._is_up = is_up
-        self.on_fail = on_fail
-        self.monitor = Monitor(env) if monitor is None else monitor
-        self.victims = 0
-        self._proc = env.process(self._burst_loop())
-
-    bursts = property(lambda self: self.monitor.total("bursts"))
-
-    def _burst_loop(self):
-        while True:
-            yield self.env.timeout(
-                float(self.rng.exponential(self.mean_interval_s)))
-            up = [t for t in self.targets if self._is_up(t)]
-            if not up:
-                continue
-            k = max(1, int(round(self.fraction * len(up))))
-            picks = self.rng.choice(len(up), size=min(k, len(up)),
-                                    replace=False)
-            self.monitor.count("bursts")
-            self.monitor.record("burst_size", len(picks))
-            for idx in np.atleast_1d(picks):
-                victim = up[int(idx)]
-                self.victims += 1
-                self._fail(victim)
-                if self.on_fail is not None:
-                    self.on_fail(victim)
-                self.env.process(self._repair_later(victim))
-
-    def _repair_later(self, victim: Any):
-        yield self.env.timeout(float(self.rng.exponential(self.mttr_s)))
-        if not self._is_up(victim):
-            self._repair(victim)

@@ -12,14 +12,11 @@ availability challenge (C6) turns on:
 - :class:`GrayFailureModel` — the node that is *heartbeat-alive but
   service-degraded* (Huang et al.'s "gray failure"): responses slow by a
   factor, error rates climb, and data-plane messages are partially
-  dropped, while the control-plane liveness signal stays healthy. It
-  exposes per-node :meth:`target` adapters speaking the
-  ``fail``/``repair``/``is_up`` protocol, so a
-  :class:`~repro.faults.CorrelatedBurst` can gray out a correlated
-  fraction of nodes exactly as it crashes them.
+  dropped, while the control-plane liveness signal stays healthy. Its
+  gray periods are a declarative per-node schedule.
 
 Both are deterministic replayable: schedules are data, and any
-randomness (episode generation, error/drop draws) comes from named
+randomness (error/drop draws) comes from named
 :class:`~repro.sim.RandomStreams` streams supplied by the caller.
 """
 
@@ -27,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -57,7 +54,7 @@ class PartitionEpisode:
     direction: str = "both"
 
     def __post_init__(self):
-        if self.start_s < 0 or self.end_s <= self.start_s:
+        if not 0 <= self.start_s < self.end_s:  # NaN fails too
             raise ValueError(
                 f"episode needs 0 <= start_s < end_s, got "
                 f"[{self.start_s}, {self.end_s})")
@@ -77,17 +74,6 @@ class PartitionEpisode:
         if self.direction == "outbound":
             return src_inside
         return dst_inside
-
-    def as_dict(self) -> dict:
-        """A JSON-able representation; :meth:`from_dict` round-trips it."""
-        return {"start_s": self.start_s, "end_s": self.end_s,
-                "isolate": self.isolate, "direction": self.direction}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PartitionEpisode":
-        return cls(start_s=float(data["start_s"]), end_s=float(data["end_s"]),
-                   isolate=str(data["isolate"]),
-                   direction=str(data.get("direction", "both")))
 
 
 class NetworkPartitionModel:
@@ -126,47 +112,6 @@ class NetworkPartitionModel:
         if self.episodes:
             env.process(self._timeline())
 
-    @classmethod
-    def random_episodes(cls, rng: np.random.Generator,
-                        groups: Sequence[str], n: int,
-                        horizon_s: float, mean_duration_s: float,
-                        one_way_p: float = 0.0) -> list[PartitionEpisode]:
-        """Draw up to ``n`` episodes from a named stream (for chaos sweeps).
-
-        Episodes of the same group never overlap: after sampling, each
-        half-open ``[start, end)`` is clipped to start at or after the
-        previous episode of its group ends; an episode swallowed whole by
-        the clip is dropped (so fewer than ``n`` may come back). The same
-        stream state always yields the identical timeline.
-        """
-        if n < 0 or horizon_s <= 0 or mean_duration_s <= 0:
-            raise ValueError("need n >= 0, positive horizon and duration")
-        episodes = []
-        for _ in range(n):
-            start = float(rng.uniform(0.0, horizon_s))
-            duration = max(1e-3, float(rng.exponential(mean_duration_s)))
-            isolate = str(groups[int(rng.integers(len(groups)))])
-            direction = "both"
-            if one_way_p > 0 and float(rng.random()) < one_way_p:
-                direction = ("outbound" if float(rng.random()) < 0.5
-                             else "inbound")
-            episodes.append(PartitionEpisode(start, start + duration,
-                                             isolate, direction))
-        episodes.sort(key=lambda e: (e.start_s, e.end_s, e.isolate))
-        clipped: list[PartitionEpisode] = []
-        last_end: dict[str, float] = {}
-        for episode in episodes:
-            floor = last_end.get(episode.isolate, 0.0)
-            start = max(episode.start_s, floor)
-            if start >= episode.end_s:
-                continue  # swallowed by the previous episode of its group
-            if start != episode.start_s:
-                episode = PartitionEpisode(start, episode.end_s,
-                                           episode.isolate, episode.direction)
-            last_end[episode.isolate] = episode.end_s
-            clipped.append(episode)
-        return clipped
-
     splits = property(lambda self: self.monitor.total("splits"))
     heals = property(lambda self: self.monitor.total("heals"))
 
@@ -191,17 +136,6 @@ class NetworkPartitionModel:
                 return True
         return False
 
-    # -- introspection -----------------------------------------------------
-    def isolated(self, now: Optional[float] = None) -> list[str]:
-        """Nodes currently on the isolated side of any active episode."""
-        now = self.env.now if now is None else now
-        cut: list[str] = []
-        for episode in self.episodes:
-            if episode.active(now):
-                cut.extend(n for n in self.groups[episode.isolate]
-                           if n not in cut)
-        return cut
-
     def _timeline(self):
         """Bookkeeping process: count and announce split/heal edges."""
         # Episodes are not orderable: sort on (time, is_heal), stably.
@@ -222,27 +156,6 @@ class NetworkPartitionModel:
                     self.on_split(episode)
 
 
-class _GrayTarget:
-    """Adapter: one gray-able node as a ``fail/repair/is_up`` target."""
-
-    __slots__ = ("model", "name")
-
-    def __init__(self, model: "GrayFailureModel", name: str):
-        self.model = model
-        self.name = name
-
-    @property
-    def is_up(self) -> bool:
-        # "Up" for burst composition means *not currently gray*.
-        return not self.model.is_gray(self.name)
-
-    def fail(self) -> None:
-        self.model.degrade(self.name)
-
-    def repair(self) -> None:
-        self.model.restore(self.name)
-
-
 class GrayFailureModel:
     """Nodes that stay heartbeat-alive while their service rots.
 
@@ -259,11 +172,7 @@ class GrayFailureModel:
       receives.
 
     Gray periods come from a declarative ``episodes`` schedule
-    (node -> [(start_s, end_s), ...]) and/or from :meth:`degrade` /
-    :meth:`restore` calls — the latter is what :meth:`target` adapters
-    feed, so a :class:`~repro.faults.CorrelatedBurst` pointed at
-    ``[model.target(n) for n in nodes]`` grays out correlated fractions
-    of the fleet instead of crashing them. RNG is drawn **only while a
+    (node -> [(start_s, end_s), ...]). RNG is drawn **only while a
     node is gray**, so a baseline run of the same seed stays comparable
     (the :class:`~repro.faults.TransientErrorModel` ``enabled`` idiom).
     """
@@ -274,13 +183,14 @@ class GrayFailureModel:
                  episodes: Optional[dict[str, Sequence[tuple]]] = None,
                  protected_kinds: Sequence[str] = ("heartbeat",),
                  monitor: Optional[Monitor] = None, name: str = "gray"):
-        if slowdown < 1.0:
+        # Written so NaN fails every check.
+        if not slowdown >= 1.0:
             raise ValueError("slowdown must be >= 1")
         if not 0.0 <= error_rate <= 1.0:
             raise ValueError(f"error_rate {error_rate} not in [0, 1]")
         if not 0.0 <= drop_rate < 1.0:
             raise ValueError(f"drop_rate {drop_rate} not in [0, 1)")
-        if extra_latency_s < 0:
+        if not extra_latency_s >= 0:
             raise ValueError("extra_latency_s must be non-negative")
         self.env = env
         self.rng = rng
@@ -295,17 +205,14 @@ class GrayFailureModel:
                          for node, spans in (episodes or {}).items()}
         for node, spans in self.episodes.items():
             for a, b in spans:
-                if a < 0 or b <= a:
+                if not 0 <= a < b:
                     raise ValueError(f"gray episode [{a}, {b}) of {node!r} "
                                      "needs 0 <= start < end")
         self.protected_kinds = tuple(protected_kinds)
         self.monitor = Monitor(env) if monitor is None else monitor
         self.name = name
-        self._degraded: dict[str, None] = {}  # manual grays, ordered
         self.slowed_operations = 0
 
-    degradations = property(lambda self: self.monitor.total("degradations"))
-    restorations = property(lambda self: self.monitor.total("restorations"))
     injected_errors = property(
         lambda self: self.monitor.total("injected_errors"))
     dropped_messages = property(
@@ -317,8 +224,6 @@ class GrayFailureModel:
 
     def _gray(self, node: str) -> bool:
         """:meth:`is_gray` for a name that is already a string."""
-        if node in self._degraded:
-            return True
         spans = self.episodes.get(node)
         if not spans:
             return False
@@ -327,29 +232,6 @@ class GrayFailureModel:
             if a <= now < b:
                 return True
         return False
-
-    def gray_nodes(self) -> list[str]:
-        """Currently gray nodes: scheduled ones first, then manual."""
-        scheduled = [n for n in self.episodes if self.is_gray(n)]
-        manual = [n for n in self._degraded if n not in scheduled]
-        return scheduled + manual
-
-    def degrade(self, node: str) -> None:
-        node = str(node)
-        if node not in self._degraded:
-            self._degraded[node] = None
-            self.monitor.count("degradations", key=node)
-
-    def restore(self, node: str) -> None:
-        node = str(node)
-        if node not in self._degraded:
-            return
-        del self._degraded[node]
-        self.monitor.count("restorations", key=node)
-
-    def target(self, node: str) -> _GrayTarget:
-        """A ``fail/repair/is_up`` adapter for burst/crash composition."""
-        return _GrayTarget(self, str(node))
 
     # -- service degradation ------------------------------------------------
     def service_factor(self, node: str) -> float:
@@ -415,7 +297,7 @@ class ScheduledMessageLoss:
         self.episodes = [(float(a), float(b), float(r))
                          for a, b, r in episodes]
         for a, b, r in self.episodes:
-            if a < 0 or b <= a:
+            if not 0 <= a < b:  # NaN fails too
                 raise ValueError(f"loss episode [{a}, {b}) needs "
                                  "0 <= start < end")
             if not 0.0 <= r < 1.0:

@@ -1,48 +1,29 @@
-"""Resilience policies: composable combinators that keep work flowing.
+"""Resilience policies: the retry schedule and the hedge combinator.
 
-Each policy is a *sim-process combinator*: a generator you ``yield from``
-inside any :class:`~repro.sim.Process`, wrapping an attempt factory. They
-compose — hedge a retried call, retry through a circuit breaker — because
-each one only needs "a callable producing a fresh attempt" and returns the
-attempt's value:
+- :class:`RetryPolicy` — bounded retries with exponential backoff and
+  jitter. It computes the schedule; the caller runs the loop, as
+  :class:`~repro.serverless.FaaSPlatform` does for faulted attempts:
 
->>> def handler(env):
-...     result = yield from RetryPolicy(max_attempts=3).call(
-...         env, lambda: flaky_operation(env),
-...         rng=streams.get("retry-jitter"))
+  >>> delay = RetryPolicy(max_attempts=3).backoff_s(
+  ...     attempt, rng=streams.get("retry-jitter"))
 
-(A policy with ``jitter > 0`` — the default — requires the rng; pass
-``jitter=0.0`` explicitly to opt out of jittered backoff.)
-
-Provided policies:
-
-- :class:`RetryPolicy` — bounded retries with exponential backoff + jitter;
-- :func:`with_timeout` — bound an attempt's latency, raising
-  :class:`TimeoutExceeded`;
-- :class:`CircuitBreaker` — closed/open/half-open failure isolation with a
-  cooldown, raising :class:`CircuitOpenError` while open;
+  (A policy with ``jitter > 0`` — the default — requires the rng; pass
+  ``jitter=0.0`` explicitly to opt out of jittered backoff.)
 - :class:`Hedge` — speculative duplicate attempt after a quantile delay;
-  the first finisher wins (the classic tail-latency mitigation).
+  the first finisher wins (the classic tail-latency mitigation). It is a
+  *sim-process combinator*: ``result = yield from hedge.run(env,
+  factory)`` inside any :class:`~repro.sim.Process`, where ``factory``
+  produces a fresh attempt.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 import numpy as np
 
-from repro.faults.models import FaultInjectedError
 from repro.sim import AnyOf, Environment, Event, Process
-
-
-class TimeoutExceeded(RuntimeError):
-    """An attempt exceeded its :func:`with_timeout` bound."""
-
-
-class CircuitOpenError(RuntimeError):
-    """Call rejected because the circuit breaker is open."""
 
 
 def as_event(env: Environment, attempt: Any) -> Event:
@@ -71,13 +52,8 @@ def _abandon(event: Event) -> None:
 class RetryPolicy:
     """Bounded retries with exponential backoff and optional jitter.
 
-    ``retry_on`` lists the exception types considered transient; anything
-    else propagates immediately (don't retry a programming error).
-
-    ``max_elapsed_s`` is a *retry budget*: if waiting out the next backoff
-    would push the total time since the first attempt past it, the policy
-    gives up and re-raises instead of sleeping — the caller's deadline
-    matters more than the attempt count.
+    ``max_attempts`` bounds the attempts; :meth:`backoff_s` gives the
+    delay before each retry.
     """
 
     max_attempts: int = 3
@@ -86,23 +62,18 @@ class RetryPolicy:
     max_delay_s: float = 30.0
     #: Relative jitter: the delay is scaled by U(1 - jitter, 1 + jitter).
     jitter: float = 0.1
-    #: Total time budget across attempts and backoffs (None = unbounded).
-    max_elapsed_s: Optional[float] = None
-    retry_on: tuple = (FaultInjectedError, TimeoutExceeded)
-    retries: int = 0
-    exhausted: int = 0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.base_delay_s < 0 or self.max_delay_s < 0:
+        # Written so NaN fails every check: ``min()`` would silently drop
+        # a NaN ``max_delay_s``.
+        if not (self.base_delay_s >= 0 and self.max_delay_s >= 0):
             raise ValueError("delays must be non-negative")
-        if self.multiplier < 1.0:
+        if not self.multiplier >= 1.0:
             raise ValueError("multiplier must be >= 1")
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError("jitter must be in [0, 1)")
-        if self.max_elapsed_s is not None and self.max_elapsed_s <= 0:
-            raise ValueError("max_elapsed_s must be positive")
 
     def backoff_s(self, attempt: int,
                   rng: Optional[np.random.Generator] = None) -> float:
@@ -125,136 +96,6 @@ class RetryPolicy:
                     "policy with jitter=0.0 to opt out explicitly")
             delay *= 1.0 + self.jitter * (2.0 * float(rng.random()) - 1.0)
         return delay
-
-    def call(self, env: Environment, factory: Callable[[], Any],
-             rng: Optional[np.random.Generator] = None):
-        """Combinator: ``result = yield from policy.call(env, factory)``."""
-        attempt = 0
-        started = env.now
-        while True:
-            attempt += 1
-            try:
-                result = yield as_event(env, factory())
-                return result
-            except self.retry_on:
-                if attempt >= self.max_attempts:
-                    self.exhausted += 1
-                    raise
-                delay = self.backoff_s(attempt, rng)
-                if (self.max_elapsed_s is not None
-                        and env.now - started + delay > self.max_elapsed_s):
-                    # The backoff would outlive the retry budget: give up
-                    # now rather than return even later.
-                    self.exhausted += 1
-                    raise
-                self.retries += 1
-                yield env.timeout(delay)
-
-
-def with_timeout(env: Environment, attempt: Any, timeout_s: float,
-                 cancel: bool = True):
-    """Combinator: wait for ``attempt`` at most ``timeout_s``.
-
-    ``result = yield from with_timeout(env, ev, 5.0)`` returns the
-    attempt's value, or raises :class:`TimeoutExceeded`. On timeout a
-    Process attempt is interrupted (``cancel=True``) and its eventual
-    outcome is defused so an abandoned failure cannot crash the run.
-    """
-    if timeout_s <= 0:
-        raise ValueError("timeout_s must be positive")
-    target = as_event(env, attempt)
-    # Defuse up-front: if the attempt fails a tick after losing the race,
-    # nobody is waiting on it any more.
-    _abandon(target)
-    timer = env.timeout(timeout_s)
-    yield AnyOf(env, [target, timer])
-    if target.triggered:
-        if target.ok:
-            return target.value
-        raise target.value
-    if cancel and isinstance(target, Process) and target.is_alive:
-        target.interrupt("timeout")
-    raise TimeoutExceeded(f"attempt exceeded {timeout_s}s")
-
-
-class BreakerState(enum.Enum):
-    CLOSED = "closed"
-    OPEN = "open"
-    HALF_OPEN = "half-open"
-
-
-class CircuitBreaker:
-    """Failure isolation: stop hammering a dependency that keeps failing.
-
-    CLOSED passes calls through, counting consecutive failures; at
-    ``failure_threshold`` the breaker trips OPEN and rejects calls with
-    :class:`CircuitOpenError` for ``cooldown_s``; then HALF_OPEN admits up
-    to ``half_open_max`` probes — one success re-closes, one failure
-    re-opens.
-    """
-
-    def __init__(self, env: Environment, failure_threshold: int = 5,
-                 cooldown_s: float = 30.0, half_open_max: int = 1,
-                 name: str = "breaker"):
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        if cooldown_s <= 0:
-            raise ValueError("cooldown_s must be positive")
-        self.env = env
-        self.failure_threshold = failure_threshold
-        self.cooldown_s = cooldown_s
-        self.half_open_max = half_open_max
-        self.name = name
-        self._state = BreakerState.CLOSED
-        self._consecutive_failures = 0
-        self._opened_at = -float("inf")
-        self._half_open_inflight = 0
-        self.opens = 0
-        self.rejections = 0
-
-    @property
-    def state(self) -> BreakerState:
-        if (self._state is BreakerState.OPEN
-                and self.env.now - self._opened_at >= self.cooldown_s):
-            self._state = BreakerState.HALF_OPEN
-            self._half_open_inflight = 0
-        return self._state
-
-    def allow(self) -> bool:
-        state = self.state
-        if state is BreakerState.CLOSED:
-            return True
-        if state is BreakerState.OPEN:
-            return False
-        if self._half_open_inflight < self.half_open_max:
-            self._half_open_inflight += 1
-            return True
-        return False
-
-    def record_success(self) -> None:
-        self._consecutive_failures = 0
-        self._state = BreakerState.CLOSED
-
-    def record_failure(self) -> None:
-        self._consecutive_failures += 1
-        if (self.state is BreakerState.HALF_OPEN
-                or self._consecutive_failures >= self.failure_threshold):
-            self._state = BreakerState.OPEN
-            self._opened_at = self.env.now
-            self.opens += 1
-
-    def call(self, factory: Callable[[], Any]):
-        """Combinator: ``result = yield from breaker.call(factory)``."""
-        if not self.allow():
-            self.rejections += 1
-            raise CircuitOpenError(f"{self.name} is open")
-        try:
-            result = yield as_event(self.env, factory())
-        except BaseException:
-            self.record_failure()
-            raise
-        self.record_success()
-        return result
 
 
 class Hedge:

@@ -20,13 +20,7 @@ measured or designed:
 """
 
 from repro.p2p.peer import ContentDescriptor, Peer, PeerClass, PEER_CLASSES
-from repro.p2p.tracker import (
-    HeartbeatTracker,
-    SpamTracker,
-    Tracker,
-    TrackerStats,
-    reannounce_process,
-)
+from repro.p2p.tracker import SpamTracker, Tracker, TrackerStats
 from repro.p2p.swarm import Swarm, SwarmConfig, SwarmResult, run_swarm
 from repro.p2p.twofast import TwoFastResult, run_2fast_experiment
 from repro.p2p.monitor import BTWorldMonitor, SamplingBiasReport, bias_study
@@ -42,7 +36,6 @@ __all__ = [
     "AliasGroup",
     "BTWorldMonitor",
     "ContentDescriptor",
-    "HeartbeatTracker",
     "PEER_CLASSES",
     "Peer",
     "PeerClass",
@@ -59,7 +52,6 @@ __all__ = [
     "detect_aliased_media",
     "detect_flashcrowds",
     "giant_swarms",
-    "reannounce_process",
     "run_2fast_experiment",
     "run_swarm",
 ]

@@ -74,8 +74,6 @@ class Peer:
     departed_at: Optional[float] = None
     #: True when churn made the peer abort before completing.
     aborted: bool = False
-    #: Payload lost on the wire and downloaded again (message-loss faults).
-    re_requested_mb: float = 0.0
 
     @property
     def active(self) -> bool:

@@ -16,7 +16,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.faults.models import MessageLossModel
 from repro.p2p.peer import ContentDescriptor, Peer, PeerClass, PEER_CLASSES
 from repro.p2p.tracker import Tracker
 from repro.sim import Environment, Monitor
@@ -44,9 +43,6 @@ class SwarmConfig:
     #: A leecher with fraction f of the content uploads at
     #: upload * min(1, f / useful_fraction); models piece availability.
     useful_fraction: float = 0.25
-    #: Fraction of transferred payload lost on the wire; lost pieces are
-    #: re-requested, so downloads slow down but eventually complete.
-    loss_rate: float = 0.0
     #: Mean leecher session length before churn aborts the download
     #: (None = no churn). Exponential sessions, drawn per round.
     mean_session_s: Optional[float] = None
@@ -57,8 +53,6 @@ class SwarmConfig:
             raise ValueError(f"peer_mix probabilities sum to {total}, not 1")
         if not 0 < self.efficiency <= 1:
             raise ValueError("efficiency must be in (0, 1]")
-        if not 0.0 <= self.loss_rate < 1.0:
-            raise ValueError("loss_rate must be in [0, 1)")
         if self.mean_session_s is not None and self.mean_session_s <= 0:
             raise ValueError("mean_session_s must be positive")
 
@@ -92,10 +86,6 @@ class SwarmResult:
     def churned_count(self) -> int:
         return sum(1 for p in self.peers if p.aborted)
 
-    @property
-    def re_requested_mb(self) -> float:
-        return float(sum(p.re_requested_mb for p in self.peers))
-
     def peak_swarm_size(self) -> int:
         series = self.monitor.series.get("swarm_size")
         return int(max(series.values)) if series and series.values else 0
@@ -126,8 +116,6 @@ class Swarm:
         self._peer_spans: dict[int, object] = {}
         self.peers: list[Peer] = []
         self.completed: list[Peer] = []
-        self.loss = (MessageLossModel(rng, config.loss_rate)
-                     if config.loss_rate > 0 else None)
         #: Leechers that churned out before completing.
         self.churned = 0
         self._class_names = [name for name, _ in config.peer_mix]
@@ -219,14 +207,7 @@ class Swarm:
         for peer, share in uploaders:
             peer.uploaded_mb += uploaded_total * share / supply_sum
         for peer, rate in zip(leechers, rates):
-            transfer = rate * dt
-            if self.loss is not None and transfer > 0:
-                # Lost pieces consume the sender's bandwidth but deliver no
-                # progress; the receiver re-requests them next rounds.
-                goodput = self.loss.transfer(transfer)
-                peer.re_requested_mb += transfer - goodput
-                transfer = goodput
-            peer.downloaded_mb = min(size, peer.downloaded_mb + transfer)
+            peer.downloaded_mb = min(size, peer.downloaded_mb + rate * dt)
             if peer.downloaded_mb >= size - 1e-9 and not peer.is_seed:
                 peer.is_seed = True
                 peer.completed_at = self.env.now + dt
@@ -265,8 +246,6 @@ class Swarm:
         self.monitor.record("swarm_size", len(active))
         self.monitor.record("seeders", seeds)
         self.monitor.record("leechers", len(active) - seeds)
-        if self.loss is not None:
-            self.monitor.record("re_requested_mb", self.loss.lost_mb)
 
     def result(self) -> SwarmResult:
         if self.tracer is not None:

@@ -75,106 +75,6 @@ class Tracker:
                             leechers=len(active) - seeders)
 
 
-class HeartbeatTracker(Tracker):
-    """A tracker that believes announces instead of reading ground truth.
-
-    The plain :class:`Tracker` filters peer lists by ``p.active`` — the
-    simulator's omniscient view of which peers are up, which no real
-    tracker has. This one treats announces as heartbeats: a peer is
-    *believed* live while its last announce for the torrent is younger
-    than ``liveness_timeout_s``. Peers that churn away without a polite
-    ``depart`` linger until the timeout expires (stale entries handed to
-    other peers), and scrapes garbage-collect and count only believed-live
-    peers — the failure-detection trade-off of Section "P3" at the
-    membership layer.
-    """
-
-    def __init__(self, name: str, env, liveness_timeout_s: float = 120.0):
-        super().__init__(name)
-        if liveness_timeout_s <= 0:
-            raise ValueError("liveness_timeout_s must be positive")
-        self.env = env
-        self.liveness_timeout_s = liveness_timeout_s
-        #: Last announce time per (torrent, peer).
-        self._last_seen: dict[str, dict[int, float]] = {}
-        #: Entries garbage-collected after missing their timeout.
-        self.expired = 0
-
-    def believed_live(self, torrent_id: str, peer_id: int) -> bool:
-        seen = self._last_seen.get(torrent_id, {}).get(peer_id)
-        return (seen is not None
-                and self.env.now - seen <= self.liveness_timeout_s)
-
-    def announce(self, torrent_id: str, peer: Peer,
-                 rng: Optional[np.random.Generator] = None,
-                 max_peers: int = 50) -> list[Peer]:
-        """Register the announce as a heartbeat; return believed-live peers.
-
-        Note the returned list may contain peers that are already gone
-        (announced recently, crashed since) — the price of not being
-        omniscient.
-        """
-        self.announce_count += 1
-        swarm = self._swarms.setdefault(torrent_id, {})
-        swarm[peer.peer_id] = peer
-        self._last_seen.setdefault(torrent_id, {})[peer.peer_id] = self.env.now
-        others = [p for pid, p in swarm.items()
-                  if pid != peer.peer_id
-                  and self.believed_live(torrent_id, pid)]
-        if len(others) > max_peers:
-            if rng is None:
-                others = others[:max_peers]
-            else:
-                idx = rng.choice(len(others), size=max_peers, replace=False)
-                others = [others[int(i)] for i in idx]
-        return others
-
-    def depart(self, torrent_id: str, peer: Peer) -> None:
-        super().depart(torrent_id, peer)
-        self._last_seen.get(torrent_id, {}).pop(peer.peer_id, None)
-
-    def _gc(self, torrent_id: str) -> None:
-        seen = self._last_seen.get(torrent_id, {})
-        swarm = self._swarms.get(torrent_id, {})
-        cutoff = self.env.now - self.liveness_timeout_s
-        stale = [pid for pid, t in seen.items() if t < cutoff]
-        for pid in stale:
-            del seen[pid]
-            swarm.pop(pid, None)
-            self.expired += 1
-
-    def scrape(self, torrent_id: str, time: float) -> TrackerStats:
-        """Counts believed-live peers (and expires stale entries)."""
-        self.scrape_count += 1
-        self._gc(torrent_id)
-        swarm = self._swarms.get(torrent_id, {})
-        live = [p for pid, p in swarm.items()
-                if self.believed_live(torrent_id, pid)]
-        seeders = sum(1 for p in live if p.is_seed)
-        return TrackerStats(torrent_id=torrent_id, time=time,
-                            seeders=seeders,
-                            leechers=len(live) - seeders)
-
-
-def reannounce_process(env, tracker: Tracker, torrent_id: str, peer: Peer,
-                       interval_s: float,
-                       rng: Optional[np.random.Generator] = None):
-    """A peer's periodic re-announce loop (its tracker heartbeat).
-
-    Run as ``env.process(reannounce_process(...))``. Announces every
-    ``interval_s`` (with up to 10% deterministic-seeded jitter when ``rng``
-    is given) while the peer is active; stops silently when the peer churns
-    away — exactly the impolite departure the heartbeat tracker exists to
-    survive.
-    """
-    while peer.active:
-        tracker.announce(torrent_id, peer, rng=rng)
-        delay = interval_s
-        if rng is not None:
-            delay *= 1.0 + 0.1 * (2.0 * float(rng.random()) - 1.0)
-        yield env.timeout(delay)
-
-
 class SpamTracker(Tracker):
     """A spam tracker ([63]): reports inflated, fabricated swarm statistics
     and returns fake peer lists — inserted 'by unidentified entities to

@@ -29,9 +29,7 @@ phrases as ecosystems that "survive failures without losing work".
 
 Domain wirings: graphalytics checkpoints iterative kernels per superstep
 (:func:`repro.graphalytics.robustness.run_supersteps_with_recovery`),
-the serverless :class:`~repro.serverless.durable.DurableWorkflowEngine`
-journals completed steps so retried workflows replay instead of
-re-invoking, and :class:`~repro.scheduling.simulator.ClusterSimulator`
+and :class:`~repro.scheduling.simulator.ClusterSimulator`
 journals submissions/dispatches/completions so a crashed scheduler
 reconciles believed vs. actual cluster state on recovery. The chaos
 harness compares no-checkpoint vs. periodic vs. Daly-optimal in

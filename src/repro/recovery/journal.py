@@ -1,16 +1,15 @@
 """A write-ahead journal: incremental durability between checkpoints.
 
 Checkpoints snapshot whole state at coarse intervals; the journal makes
-*individual* state transitions durable as they happen — the workflow
-engine's "step finished", the scheduler's "task dispatched". Recovery
+*individual* state transitions durable as they happen — the
+scheduler's "task dispatched". Recovery
 replays the journal over the last checkpoint, which is why replay cost is
 bounded: :meth:`truncate` discards everything a checkpoint already covers.
 
 Durability is not instantaneous: a record becomes durable
 ``append_cost_s`` after the append (the group-commit/fsync window). A
 crash inside that window loses the record — the source of the duplicate
-executions that at-least-once semantics admit and idempotency keys
-de-duplicate (see :mod:`repro.serverless.durable`).
+executions that at-least-once semantics admit.
 """
 
 from __future__ import annotations

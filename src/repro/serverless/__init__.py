@@ -6,9 +6,6 @@
   billing — the three serverless principles of the paper's [101];
 - :mod:`repro.serverless.workflow` — a Fission-Workflows-style engine
   executing function DAGs over the platform;
-- :mod:`repro.serverless.durable` — durable workflow execution: completed
-  steps journaled and replayed instead of re-invoked after an
-  orchestrator crash, with idempotency-key dedup (effectively-once);
 - :mod:`repro.serverless.refarch` — the SPEC-RG FaaS reference
   architecture ([103]): the common components of seemingly widely varying
   platforms, and platform-to-architecture mapping.
@@ -25,10 +22,6 @@ from repro.serverless.workflow import (
     WorkflowEngine,
     WorkflowRun,
 )
-from repro.serverless.durable import (
-    DurableRun,
-    DurableWorkflowEngine,
-)
 from repro.serverless.refarch import (
     FAAS_COMPONENTS,
     FaaSComponent,
@@ -37,8 +30,6 @@ from repro.serverless.refarch import (
 )
 
 __all__ = [
-    "DurableRun",
-    "DurableWorkflowEngine",
     "FAAS_COMPONENTS",
     "FaaSComponent",
     "FaaSPlatform",

@@ -1,12 +1,9 @@
 """Tests for the fault models."""
 
-import numpy as np
 import pytest
 
 from repro.faults import (
-    CorrelatedBurst,
     CrashRestart,
-    FaultInjectedError,
     MessageLossModel,
     StragglerModel,
     TransientErrorModel,
@@ -58,11 +55,6 @@ class TestTransientErrorModel:
     def test_disabled_model_is_noop(self, rng):
         model = TransientErrorModel(rng, error_rate=1.0, enabled=False)
         assert not model.should_fail()
-
-    def test_maybe_raise(self, rng):
-        model = TransientErrorModel(rng, error_rate=1.0)
-        with pytest.raises(FaultInjectedError):
-            model.maybe_raise("unit test op")
 
     def test_invalid_rate_rejected(self, rng):
         with pytest.raises(ValueError):
@@ -143,87 +135,6 @@ class TestCrashRestart:
         env = Environment()
         with pytest.raises(ValueError):
             CrashRestart(env, [FlakyTarget()], rng, mtbf_s=0, mttr_s=1)
-
-
-class TestCorrelatedBurst:
-    def test_burst_takes_down_fraction(self, rng):
-        env = Environment()
-        targets = [FlakyTarget(f"t{i}") for i in range(20)]
-        mon = Monitor(env)
-        burst = CorrelatedBurst(env, targets, rng, mean_interval_s=100.0,
-                                fraction=0.5, mttr_s=20.0, monitor=mon)
-        env.run(until=1000)
-        assert burst.bursts > 0
-        # Half of twenty up targets per burst.
-        assert burst.victims >= burst.bursts * 5
-        assert max(mon.series["burst_size"].values) <= 10
-        # Victims eventually repair.
-        assert sum(1 for t in targets if t.is_up) > 0
-
-    def test_invalid_fraction(self, rng):
-        env = Environment()
-        with pytest.raises(ValueError):
-            CorrelatedBurst(env, [FlakyTarget()], rng,
-                            mean_interval_s=10.0, fraction=0.0)
-
-
-class TestCorrelatedBurstStatistics:
-    """Statistical coverage: burst size/interval distributions and the
-    availability the burst regime implies."""
-
-    def _run(self, seed=11, n=20, interval=50.0, fraction=0.25,
-             mttr=10.0, horizon=100_000.0):
-        env = Environment()
-        rng = RandomStreams(seed=seed).get("burst")
-        targets = [FlakyTarget(f"t{i}") for i in range(n)]
-        mon = Monitor(env)
-        fail_times = []
-        burst = CorrelatedBurst(env, targets, rng, mean_interval_s=interval,
-                                fraction=fraction, mttr_s=mttr, monitor=mon,
-                                on_fail=lambda t: fail_times.append(env.now))
-        up_samples = []
-
-        def sampler(env):
-            while True:
-                yield env.timeout(5.0)
-                up_samples.append(sum(1 for t in targets if t.is_up) / n)
-
-        env.process(sampler(env))
-        env.run(until=horizon)
-        return burst, mon, fail_times, up_samples
-
-    def test_burst_interval_distribution_is_exponential(self):
-        burst, _, fail_times, _ = self._run()
-        burst_times = sorted(set(fail_times))
-        assert len(burst_times) == burst.bursts
-        gaps = np.diff(burst_times)
-        # Mean inter-burst gap matches the configured rate...
-        assert gaps.mean() == pytest.approx(50.0, rel=0.10)
-        # ...and the coefficient of variation is ~1: exponential, not
-        # regular (CV~0) or heavy-tailed clustering (CV>>1).
-        assert 0.85 < gaps.std() / gaps.mean() < 1.15
-
-    def test_burst_size_distribution(self):
-        burst, mon, _, _ = self._run()
-        sizes = np.asarray(mon.series["burst_size"].values, dtype=float)
-        assert len(sizes) == burst.bursts
-        assert sizes.max() <= 5  # never more than fraction * n_targets
-        # Fast repair keeps nearly all 20 targets up between bursts, so
-        # almost every burst takes down round(0.25 * 20) = 5 of them.
-        assert sizes.mean() == pytest.approx(5.0, rel=0.05)
-        assert burst.victims == int(sizes.sum())
-
-    def test_availability_accounting_matches_burst_math(self):
-        # Per-target failure rate = fraction / interval; unavailability
-        # = rate * MTTR  =>  A = 1 - fraction * mttr / interval = 0.95.
-        _, _, _, up_samples = self._run()
-        availability = float(np.mean(up_samples))
-        assert availability == pytest.approx(0.95, abs=0.01)
-
-    def test_victims_scale_with_fraction(self):
-        small, _, _, _ = self._run(fraction=0.1, mttr=2.0)
-        large, _, _, _ = self._run(fraction=0.5, mttr=2.0)
-        assert large.victims > 3 * small.victims
 
 
 class TestCrashRestartAvailabilityConvergence:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.faults import (
-    CorrelatedBurst,
     GrayFailureModel,
     NetworkPartitionModel,
     PartitionEpisode,
@@ -153,24 +152,6 @@ class TestNetworkPartitionModel:
         assert model.splits == model.heals == 2
         assert net.allows("a", "c") and net.allows("b", "c")
 
-    def test_isolated_nodes(self):
-        env = Environment()
-        _, model = make_partitioned(
-            env, [PartitionEpisode(0.0, 10.0, "minority")])
-        assert model.isolated() == ["w2", "w3"]
-        env.run(until=10.0)
-        assert model.isolated() == []
-
-    def test_random_episodes_are_reproducible(self):
-        def draw():
-            rng = RandomStreams(11).get("partition-episodes")
-            return NetworkPartitionModel.random_episodes(
-                rng, ["g1", "g2"], n=5, horizon_s=100.0,
-                mean_duration_s=10.0, one_way_p=0.5)
-        a, b = draw(), draw()
-        assert a == b
-        assert all(0.0 <= ep.start_s < ep.end_s for ep in a)
-
 
 class TestGrayFailureModel:
     def make(self, env=None, **kwargs):
@@ -179,6 +160,10 @@ class TestGrayFailureModel:
         defaults = dict(slowdown=3.0, error_rate=0.5, drop_rate=0.5)
         defaults.update(kwargs)
         return env, GrayFailureModel(env, rng, **defaults)
+
+    def make_gray(self, **kwargs):
+        """A model whose node ``n1`` is gray from t = 0."""
+        return self.make(episodes={"n1": [(0.0, 100.0)]}, **kwargs)[1]
 
     def test_validation(self):
         env = Environment()
@@ -197,7 +182,6 @@ class TestGrayFailureModel:
         assert not gray.is_gray("n1")
         env.run(until=15.0)
         assert gray.is_gray("n1")
-        assert gray.gray_nodes() == ["n1"]
         env.run(until=20.0)
         assert not gray.is_gray("n1")
 
@@ -214,21 +198,9 @@ class TestGrayFailureModel:
                                             True, True, False, False]
         assert not any(v[1] or v[2] for v in verdicts)
 
-    def test_manual_degrade_restore(self):
-        _, gray = self.make()
-        gray.degrade("n1")
-        gray.degrade("n1")  # idempotent
-        assert gray.is_gray("n1")
-        assert gray.degradations == 1
-        gray.restore("n1")
-        gray.restore("n1")
-        assert not gray.is_gray("n1")
-        assert gray.restorations == 1
-
     def test_service_factor_only_while_gray(self):
-        _, gray = self.make()
-        assert gray.service_factor("n1") == 1.0
-        gray.degrade("n1")
+        gray = self.make_gray()
+        assert gray.service_factor("n2") == 1.0
         assert gray.service_factor("n1") == 3.0
         assert gray.slowed_operations == 1
 
@@ -244,53 +216,26 @@ class TestGrayFailureModel:
         assert rng.bit_generator.state["state"]["state"] == state_before
 
     def test_heartbeats_are_protected_from_drops(self):
-        _, gray = self.make(drop_rate=0.999999)
-        gray.degrade("n1")
+        gray = self.make_gray(drop_rate=0.999999)
         for _ in range(20):
             assert not gray.drops("n1", "s", "heartbeat")
         assert any(gray.drops("n1", "s", "data") for _ in range(20))
 
     def test_drops_fire_for_either_gray_endpoint(self):
-        _, gray = self.make(drop_rate=0.999999)
-        gray.degrade("n1")
+        gray = self.make_gray(drop_rate=0.999999)
         assert gray.drops("s", "n1", "data")   # gray receiver
         assert gray.drops("n1", "s", "data")   # gray sender
 
     def test_extra_latency_only_while_gray(self):
-        _, gray = self.make(extra_latency_s=0.5, drop_rate=0.0,
-                            error_rate=0.0)
+        env, gray = self.make(extra_latency_s=0.5, drop_rate=0.0,
+                              error_rate=0.0, episodes={"n1": [(1.0, 2.0)]})
         assert gray.extra_latency_s("a", "n1") == 0.0
-        gray.degrade("n1")
+        env.run(until=1.0)
         assert gray.extra_latency_s("a", "n1") == 0.5
         assert gray.extra_latency_s("n1", "a") == 0.5
         assert gray.extra_latency_s("a", "b") == 0.0
 
     def test_should_error_rate(self):
-        _, gray = self.make(error_rate=1.0, drop_rate=0.0)
-        gray.degrade("n1")
+        gray = self.make_gray(error_rate=1.0, drop_rate=0.0)
         assert gray.should_error("n1")
         assert gray.injected_errors == 1
-
-    def test_target_adapter_flips_with_gray_state(self):
-        _, gray = self.make()
-        target = gray.target("n1")
-        assert target.is_up
-        target.fail()
-        assert gray.is_gray("n1") and not target.is_up
-        target.repair()
-        assert not gray.is_gray("n1") and target.is_up
-
-    def test_target_adapter_composes_with_correlated_burst(self):
-        """A burst pointed at gray targets grays nodes instead of crashing."""
-        env = Environment()
-        streams = RandomStreams(5)
-        gray = GrayFailureModel(env, streams.get("gray"), slowdown=2.0)
-        targets = [gray.target(f"n{i}") for i in range(8)]
-        burst = CorrelatedBurst(env, targets, streams.get("burst"),
-                                mean_interval_s=20.0, fraction=0.5,
-                                mttr_s=10.0)
-        env.run(until=300.0)
-        assert burst.bursts > 0
-        # Every burst victim was grayed, not crashed, and repairs restore.
-        assert gray.degradations == burst.victims > 0
-        assert gray.restorations > 0

@@ -1,17 +1,9 @@
-"""Tests for the resilience policy combinators."""
+"""Tests for the retry schedule and the hedge combinator."""
 
 import pytest
 
-from repro.faults import (
-    BreakerState,
-    CircuitBreaker,
-    CircuitOpenError,
-    FaultInjectedError,
-    Hedge,
-    RetryPolicy,
-    TimeoutExceeded,
-    with_timeout,
-)
+from repro.faults import Hedge, RetryPolicy
+from repro.serverless import FaaSPlatform
 from repro.sim import Environment, Interrupt, RandomStreams
 
 
@@ -28,197 +20,11 @@ class TestRetryPolicy:
         assert all(8.0 <= d <= 12.0 for d in delays)
         assert len(set(delays)) > 1
 
-    def test_retries_until_success(self):
-        env = Environment()
-        state = {"fails_left": 2}
-        result = {}
-
-        def attempt():
-            yield env.timeout(1.0)
-            if state["fails_left"] > 0:
-                state["fails_left"] -= 1
-                raise FaultInjectedError("flaky")
-            return "ok"
-
-        def proc(env):
-            policy = RetryPolicy(max_attempts=3, base_delay_s=1.0,
-                                 multiplier=2.0, jitter=0.0)
-            result["value"] = yield from policy.call(env, attempt)
-            result["t"] = env.now
-            result["retries"] = policy.retries
-
-        env.process(proc(env))
-        env.run()
-        # 1s fail + 1s backoff + 1s fail + 2s backoff + 1s success.
-        assert result == {"value": "ok", "t": 6.0, "retries": 2}
-
-    def test_exhaustion_reraises(self):
-        env = Environment()
-
-        def attempt():
-            yield env.timeout(1.0)
-            raise FaultInjectedError("always")
-
-        def proc(env):
-            policy = RetryPolicy(max_attempts=2, base_delay_s=0.1,
-                                 jitter=0.0)
-            yield from policy.call(env, attempt)
-
-        env.process(proc(env))
-        with pytest.raises(FaultInjectedError):
-            env.run()
-
-    def test_non_transient_errors_not_retried(self):
-        env = Environment()
-        calls = {"n": 0}
-
-        def attempt():
-            calls["n"] += 1
-            yield env.timeout(1.0)
-            raise KeyError("a real bug")
-
-        def proc(env):
-            yield from RetryPolicy(max_attempts=5).call(env, attempt)
-
-        env.process(proc(env))
-        with pytest.raises(KeyError):
-            env.run()
-        assert calls["n"] == 1
-
     def test_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
         with pytest.raises(ValueError):
             RetryPolicy(jitter=1.5)
-
-
-class TestWithTimeout:
-    def test_fast_attempt_returns_value(self):
-        env = Environment()
-        result = {}
-
-        def fast():
-            yield env.timeout(1.0)
-            return 99
-
-        def proc(env):
-            result["value"] = yield from with_timeout(env, fast(), 5.0)
-
-        env.process(proc(env))
-        env.run()
-        assert result == {"value": 99}
-
-    def test_slow_attempt_times_out(self):
-        env = Environment()
-        result = {}
-
-        def slow():
-            yield env.timeout(60.0)
-
-        def proc(env):
-            try:
-                yield from with_timeout(env, slow(), 2.0)
-            except TimeoutExceeded:
-                result["t"] = env.now
-
-        env.process(proc(env))
-        env.run()
-        assert result == {"t": 2.0}
-
-    def test_abandoned_failure_does_not_crash_the_run(self):
-        env = Environment()
-
-        def doomed():
-            yield env.timeout(10.0)
-            raise FaultInjectedError("too late to matter")
-
-        def proc(env):
-            with pytest.raises(TimeoutExceeded):
-                yield from with_timeout(env, doomed(), 2.0, cancel=False)
-
-        env.process(proc(env))
-        env.run()  # must not raise the abandoned FaultInjectedError
-
-    def test_attempt_failure_propagates(self):
-        env = Environment()
-
-        def broken():
-            yield env.timeout(1.0)
-            raise ValueError("bad input")
-
-        def proc(env):
-            yield from with_timeout(env, broken(), 5.0)
-
-        env.process(proc(env))
-        with pytest.raises(ValueError):
-            env.run()
-
-
-class TestCircuitBreaker:
-    @staticmethod
-    def _failing(env):
-        def attempt():
-            yield env.timeout(0.5)
-            raise FaultInjectedError("down")
-        return attempt
-
-    def test_trips_open_after_threshold_and_recovers(self):
-        env = Environment()
-        breaker = CircuitBreaker(env, failure_threshold=2, cooldown_s=10.0)
-        log = []
-
-        def ok():
-            yield env.timeout(0.5)
-            return "fine"
-
-        def proc(env):
-            for _ in range(2):
-                try:
-                    yield from breaker.call(self._failing(env))
-                except FaultInjectedError:
-                    pass
-            log.append(breaker.state)
-            try:
-                yield from breaker.call(self._failing(env))
-            except CircuitOpenError:
-                log.append("rejected")
-            yield env.timeout(10.0)
-            log.append(breaker.state)       # cooldown over: half-open
-            value = yield from breaker.call(ok)
-            log.append((value, breaker.state))
-
-        env.process(proc(env))
-        env.run()
-        assert log == [BreakerState.OPEN, "rejected", BreakerState.HALF_OPEN,
-                       ("fine", BreakerState.CLOSED)]
-        assert breaker.rejections == 1
-        assert breaker.opens == 1
-
-    def test_half_open_failure_reopens(self):
-        env = Environment()
-        breaker = CircuitBreaker(env, failure_threshold=1, cooldown_s=5.0)
-
-        def proc(env):
-            try:
-                yield from breaker.call(self._failing(env))
-            except FaultInjectedError:
-                pass
-            yield env.timeout(5.0)
-            assert breaker.state is BreakerState.HALF_OPEN
-            try:
-                yield from breaker.call(self._failing(env))
-            except FaultInjectedError:
-                pass
-            assert breaker.state is BreakerState.OPEN
-
-        env.process(proc(env))
-        env.run()
-        assert breaker.opens == 2
-
-    def test_validation(self):
-        env = Environment()
-        with pytest.raises(ValueError):
-            CircuitBreaker(env, failure_threshold=0)
 
 
 class TestHedge:
@@ -264,129 +70,6 @@ class TestHedge:
     def test_validation(self):
         with pytest.raises(ValueError):
             Hedge(delay_s=0.0)
-
-
-class TestRetryBudget:
-    def test_budget_stops_retrying_before_backoff_outlives_it(self):
-        env = Environment()
-        calls = {"n": 0}
-
-        def attempt():
-            calls["n"] += 1
-            yield env.timeout(1.0)
-            raise FaultInjectedError("always")
-
-        def proc(env):
-            # Attempts cost 1s; backoffs 1s, 2s, 4s... With a 4s budget
-            # the second backoff (elapsed 3s + 2s delay = 5s) is refused.
-            policy = RetryPolicy(max_attempts=10, base_delay_s=1.0,
-                                 multiplier=2.0, jitter=0.0,
-                                 max_elapsed_s=4.0)
-            try:
-                yield from policy.call(env, attempt)
-            finally:
-                assert policy.exhausted == 1
-
-        env.process(proc(env))
-        with pytest.raises(FaultInjectedError):
-            env.run()
-        assert calls["n"] == 2
-        assert env.now == 3.0  # gave up instead of sleeping past budget
-
-    def test_budget_allows_retries_that_fit(self):
-        env = Environment()
-        state = {"fails_left": 2}
-        result = {}
-
-        def attempt():
-            yield env.timeout(1.0)
-            if state["fails_left"] > 0:
-                state["fails_left"] -= 1
-                raise FaultInjectedError("flaky")
-            return "ok"
-
-        def proc(env):
-            policy = RetryPolicy(max_attempts=5, base_delay_s=1.0,
-                                 multiplier=2.0, jitter=0.0,
-                                 max_elapsed_s=60.0)
-            result["value"] = yield from policy.call(env, attempt)
-            result["retries"] = policy.retries
-
-        env.process(proc(env))
-        env.run()
-        assert result == {"value": "ok", "retries": 2}
-
-    def test_unbounded_budget_is_default(self):
-        assert RetryPolicy().max_elapsed_s is None
-
-    def test_budget_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_elapsed_s=0.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(max_elapsed_s=-1.0)
-
-
-class TestHalfOpenProbes:
-    def test_half_open_admits_limited_concurrent_probes(self):
-        env = Environment()
-        breaker = CircuitBreaker(env, failure_threshold=1, cooldown_s=5.0,
-                                 half_open_max=1)
-        outcomes = {}
-
-        def failing():
-            yield env.timeout(0.5)
-            raise FaultInjectedError("down")
-
-        def slow_ok():
-            yield env.timeout(2.0)
-            return "recovered"
-
-        def tripper(env):
-            try:
-                yield from breaker.call(failing)
-            except FaultInjectedError:
-                pass
-
-        def probe(env, tag, start):
-            yield env.timeout(start)
-            try:
-                outcomes[tag] = yield from breaker.call(slow_ok)
-            except CircuitOpenError:
-                outcomes[tag] = "rejected"
-
-        env.process(tripper(env))
-        # Both arrive during HALF_OPEN, while probe one is still in flight.
-        env.process(probe(env, "first", 6.0))
-        env.process(probe(env, "second", 6.5))
-        env.run()
-        # Only one concurrent probe allowed; the second is rejected even
-        # though the breaker is HALF_OPEN, not OPEN.
-        assert outcomes == {"first": "recovered", "second": "rejected"}
-        assert breaker.rejections == 1
-        assert breaker.state is BreakerState.CLOSED
-
-    def test_half_open_max_two_admits_two(self):
-        env = Environment()
-        breaker = CircuitBreaker(env, failure_threshold=1, cooldown_s=5.0,
-                                 half_open_max=2)
-
-        def failing():
-            yield env.timeout(0.5)
-            raise FaultInjectedError("down")
-
-        def proc(env):
-            try:
-                yield from breaker.call(failing)
-            except FaultInjectedError:
-                pass
-            yield env.timeout(5.0)
-            assert breaker.state is BreakerState.HALF_OPEN
-            assert breaker.allow()
-            assert breaker.allow()
-            assert not breaker.allow()
-
-        env.process(proc(env))
-        env.run()
 
 
 class TestHedgeCancellation:
@@ -437,7 +120,7 @@ class TestHedgeCancellation:
 
         def slow_failure():
             yield env.timeout(5.0)
-            raise FaultInjectedError("too late anyway")
+            raise RuntimeError("too late anyway")
 
         def quick_win():
             yield env.timeout(0.5)
@@ -488,18 +171,10 @@ class TestJitterRequiresRng:
         assert a == b
         assert len(set(a)) > 1
 
-    def test_call_combinator_propagates_the_requirement(self):
-        env = Environment()
-
-        def attempt():
-            yield env.timeout(0.1)
-            raise FaultInjectedError("flaky")
-
-        def driver():
-            policy = RetryPolicy(max_attempts=3, base_delay_s=0.5,
-                                 jitter=0.1)
-            yield from policy.call(env, attempt)   # no rng passed
-
-        env.process(driver())
-        with pytest.raises(ValueError, match="rng=None"):
-            env.run()
+    def test_platform_propagates_the_requirement(self):
+        # The FaaS platform runs the retry loop, so it refuses a jittered
+        # policy without a stream up front, not at the first retry.
+        with pytest.raises(ValueError, match="retry_rng is None"):
+            FaaSPlatform(Environment(),
+                         retry_policy=RetryPolicy(jitter=0.1))
+        FaaSPlatform(Environment(), retry_policy=RetryPolicy(jitter=0.0))

@@ -10,7 +10,6 @@ import pytest
 
 from repro.cluster import Cluster, FailureInjector
 from repro.faults import (
-    CorrelatedBurst,
     CrashRestart,
     GrayFailureModel,
     NetworkPartitionModel,
@@ -65,29 +64,16 @@ def partition_heal():
     return model, "heals", "heals"
 
 
-def gray_degradation():
-    model = GrayFailureModel(Environment(), rng())
-    model.degrade("n")
-    return model, "degradations", "degradations"
-
-
-def gray_restoration():
-    model = GrayFailureModel(Environment(), rng())
-    model.degrade("n")
-    model.restore("n")
-    return model, "restorations", "restorations"
-
-
 def gray_injected_error():
-    model = GrayFailureModel(Environment(), rng(), error_rate=1.0)
-    model.degrade("n")
+    model = GrayFailureModel(Environment(), rng(), error_rate=1.0,
+                             episodes={"n": [(0.0, 1.0)]})
     assert model.should_error("n")
     return model, "injected_errors", "injected_errors"
 
 
 def gray_dropped_message():
-    model = GrayFailureModel(Environment(), rng(), drop_rate=ALWAYS)
-    model.degrade("n")
+    model = GrayFailureModel(Environment(), rng(), drop_rate=ALWAYS,
+                             episodes={"n": [(0.0, 1.0)]})
     assert model.drops("n", "m", "data")
     return model, "dropped_messages", "dropped_messages"
 
@@ -121,16 +107,6 @@ def injector_failure():
     injector.fail_now(cluster.machines[0])
     assert injector.monitor["up_machines"].last() == 1
     return injector, "failures", "machine_failures"
-
-
-def burst():
-    # One target that never repairs within the run: only the first
-    # epoch finds anyone up to crash.
-    env = Environment()
-    model = CorrelatedBurst(env, [Target()], rng(), mean_interval_s=1.0,
-                            fraction=1.0, mttr_s=1e9)
-    env.run(until=100.0)
-    return model, "bursts", "bursts"
 
 
 def fenced_rejection():
@@ -268,10 +244,9 @@ def scheduler_crash():
     return sim, "scheduler_crashes", "scheduler_crashes"
 
 
-CASES = [partition_split, partition_heal, gray_degradation,
-         gray_restoration, gray_injected_error, gray_dropped_message,
-         loss_dropped_message, crash_failure, crash_repair,
-         injector_failure, burst, fenced_rejection, fenced_report,
+CASES = [partition_split, partition_heal, gray_injected_error,
+         gray_dropped_message, loss_dropped_message, crash_failure,
+         crash_repair, injector_failure, fenced_rejection, fenced_report,
          journal_append, journal_replay, journal_truncation, store_write,
          store_corrupt_fallback, engine_check, engine_violation,
          false_suspicion, election_demotion, stale_dispatch,

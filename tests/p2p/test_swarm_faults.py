@@ -1,4 +1,4 @@
-"""Tests for churn and message-loss faults in the swarm simulation."""
+"""Tests for churn faults in the swarm simulation."""
 
 import pytest
 
@@ -18,25 +18,6 @@ def _run(config, seed=17):
     streams = RandomStreams(seed=seed)
     arrivals = PoissonArrivals(rate=1 / 120.0, rng=streams.get("arrivals"))
     return run_swarm(config, Tracker("t"), streams.get("swarm"), arrivals)
-
-
-class TestMessageLoss:
-    def test_loss_slows_downloads_and_books_rerequests(self):
-        clean = _run(_config())
-        lossy = _run(_config(loss_rate=0.3))
-        assert lossy.re_requested_mb > 0
-        assert "re_requested_mb" in lossy.monitor.series
-        # Re-requested pieces cost time: completed downloads are slower.
-        assert clean.completed and lossy.completed
-        assert lossy.mean_download_time > clean.mean_download_time
-
-    def test_clean_swarm_has_no_rerequests(self):
-        clean = _run(_config())
-        assert clean.re_requested_mb == 0.0
-
-    def test_invalid_loss_rate_rejected(self):
-        with pytest.raises(ValueError):
-            _config(loss_rate=1.0)
 
 
 class TestChurn:
