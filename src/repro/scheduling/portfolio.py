@@ -154,9 +154,11 @@ class PortfolioScheduler:
         self._scores: dict[str, float] = {p.name: 0.0 for p in portfolio}
         self._epoch = 0
         self._last_queue_size = -1
-        # Re-select whenever the ready queue changes, not only on the
-        # periodic epoch — "select the policy online, based on the
-        # current system state".
+        # Re-select before a scheduling pass whenever the ready queue's
+        # length differs from the last pass's, not only on the periodic
+        # epoch — "select the policy online, based on the current system
+        # state". A pass that finds the same length (one task in, one
+        # out) keeps the current policy.
         simulator.pre_schedule = self._on_queue_change
         self.process = env.process(self._run())
 
@@ -178,7 +180,9 @@ class PortfolioScheduler:
         return ranked[:k]
 
     def _snapshot(self):
-        queued = list(self.simulator.ready)
+        # The live queue, not a copy: each candidate's ``order`` copies
+        # its own sorted view of it, and nothing here changes it.
+        queued = self.simulator.ready
         running = [
             (start + (task.runtime_estimate or task.work), task.cores)
             for task, machine, start in self.simulator.running.values()

@@ -17,7 +17,7 @@ import numpy as np
 from repro.cluster.cluster import Cluster
 from repro.cluster.machine import Machine
 from repro.recovery.journal import Journal
-from repro.scheduling.policies import FairSharePolicy, Policy
+from repro.scheduling.policies import FairSharePolicy, Policy, ReadyQueue
 from repro.sim import Environment, Monitor
 from repro.workload.task import BagOfTasks, Task, TaskState, Workflow
 
@@ -115,9 +115,14 @@ class ClusterSimulator:
         #: re-executes them elsewhere (fail-restart), "drop" loses them —
         #: the no-resilience baseline the chaos harness measures against.
         self.failure_mode = failure_mode
-        self.ready: list[Task] = []
+        #: Ready tasks in arrival order, with each policy's order kept
+        #: up to date as tasks come and go (see :class:`ReadyQueue`).
+        self.ready = ReadyQueue()
         self.running: dict[int, tuple[Task, Machine, float]] = {}
         self.finished: list[Task] = []
+        #: Ids of the tasks in ``finished``: the completions this
+        #: scheduler has booked, which is what unlocks a successor.
+        self._finished_ids: set[int] = set()
         self.failed: list[Task] = []
         self.jobs: list[Job] = []
         #: Submitted workflows by job id, so a completion unlocks its
@@ -379,8 +384,9 @@ class ClusterSimulator:
             self.pre_schedule()
         if not self.ready:
             return
-        # Order the queue once per pass. No sort key changes inside a
-        # pass (completions and fair-share charges run as their own sim
+        # Order the queue once per pass: a copy of the policy's view of
+        # ``ready``, not a sort. No sort key changes inside a pass
+        # (completions and fair-share charges run as their own sim
         # processes), and each key ends in the unique task id, so deleting
         # a started task from ``ordered`` leaves exactly the order a
         # re-sort of ``ready`` would give.
@@ -584,13 +590,11 @@ class ClusterSimulator:
                     believed[entry[0]] = entry[1]
         self._crashed = False
         still_running = set(self.running) | set(self._limbo)
-        finished_ids = {t.task_id for t in self.finished}
         for task, runtime in self._unreported:
             # Completion raced the crash (or happened during the outage):
             # the work is done and stays done.
             self._report_completion(task, runtime)
             self.recovered_completions += 1
-            finished_ids.add(task.task_id)
         self._unreported.clear()
         orphans, self._orphaned = self._orphaned, []
         for task in orphans:
@@ -602,7 +606,7 @@ class ClusterSimulator:
                 if task_id in still_running:
                     # The dispatch survived the outage: adopt, don't redo.
                     self.monitor.count("readopted_dispatches")
-                elif task_id not in finished_ids:
+                elif task_id not in self._finished_ids:
                     # Believed running, not on any machine, not finished:
                     # the dispatch evaporated with the crash (e.g. its
                     # completion record was lost and the journal has no
@@ -735,16 +739,22 @@ class ClusterSimulator:
     def _report_completion(self, task: Task, runtime: float) -> None:
         """Scheduler-side bookkeeping of one finished task."""
         self.finished.append(task)
+        self._finished_ids.add(task.task_id)
         self._journal("complete", task)
         if isinstance(self.policy, FairSharePolicy):
             self.policy.charge(task.user, task.cores * runtime)
-        # Unlock workflow successors. A PENDING successor held in
-        # ``_orphaned`` was already submitted and started once; recovery
-        # requeues it, so unlocking it here would start it twice.
+        # Unlock this task's successors whose predecessors' completions
+        # are all booked here. A predecessor that is DONE on its machine
+        # while its report is still lost in the network does not count:
+        # the scheduler cannot know it finished. A PENDING successor held
+        # in ``_orphaned`` was already submitted and started once;
+        # recovery requeues it, so unlocking it here would start it twice.
         workflow = self._workflows.get(task.job_id)
         if workflow is not None:
-            for succ in workflow.ready_tasks():
-                if succ not in self.ready and succ not in self._orphaned:
+            for succ in workflow.unlocked_by(task, self._finished_ids):
+                if (succ.state is TaskState.PENDING
+                        and succ not in self.ready
+                        and succ not in self._orphaned):
                     self.ready.append(succ)
                     self.submitted += 1
                     self._journal("submit", succ)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Iterable, Optional
+from typing import Container, Iterable, Optional
 
 import networkx as nx
 
@@ -135,6 +135,8 @@ class Workflow:
             task.submit_time = submit_time
             self.graph.add_node(task.task_id)
             self._tasks[task.task_id] = task
+        #: Each task id's place in the workflow's task order.
+        self._position = {task_id: i for i, task_id in enumerate(self._tasks)}
         for src, dst in edges:
             if src not in self._tasks or dst not in self._tasks:
                 raise ValueError(f"edge ({src}, {dst}) references unknown task")
@@ -171,6 +173,20 @@ class Workflow:
             if all(p.state is TaskState.DONE for p in self.predecessors(task)):
                 ready.append(task)
         return ready
+
+    def unlocked_by(self, task: Task, done: Container[int]) -> list[Task]:
+        """Successors of ``task`` whose predecessors' ids are all in
+        ``done``, in the workflow's task order.
+
+        A scheduler passes the ids of the completions it has booked, so
+        only those unlock work; :meth:`ready_tasks` reads the tasks'
+        own states instead.
+        """
+        graph = self.graph
+        successors = sorted(graph.successors(task.task_id),
+                            key=self._position.__getitem__)
+        return [self._tasks[s] for s in successors
+                if all(p in done for p in graph.predecessors(s))]
 
     @property
     def done(self) -> bool:

@@ -16,7 +16,7 @@ from repro.scheduling import (
     simulate_schedule,
 )
 from repro.scheduling.policies import make_policy
-from repro.sim import Environment, RandomStreams
+from repro.sim import Environment, Network, RandomStreams
 from repro.workload import BagOfTasks, Task, Workflow
 
 
@@ -346,6 +346,49 @@ class TestOrderOncePerPass:
         assert dispatches == run(_Resorting)[0]
         blocker, _, head, small = tasks
         assert head.start_time == small.start_time == blocker.finish_time
+
+
+class _DropReportsFrom:
+    """Loss model: drops ``report`` messages from one machine before
+    ``until``."""
+
+    def __init__(self, env, machine, until):
+        self.env, self.machine, self.until = env, machine, until
+
+    def drops(self, src, dst, kind):
+        return (kind == "report" and src == self.machine
+                and self.env.now < self.until)
+
+
+class TestWorkflowUnlock:
+    def test_successor_waits_for_its_predecessors_booked_completion(self):
+        """``a -> c`` plus an independent ``b`` in one workflow. ``a``
+        finishes at t=10 but its report is lost until the retry at t=110;
+        ``b`` reports at t=15. ``c`` may start only once the scheduler
+        has booked ``a``'s completion, not when ``b``'s report arrives."""
+        env = Environment()
+        cluster = Cluster.homogeneous("c", 2, cores=1)
+        network = Network(env)
+        network.attach(_DropReportsFrom(env, "c-m0000", until=50.0))
+        sim = ClusterSimulator(env, cluster, FCFSPolicy(), network=network,
+                               report_retry_s=100.0)
+        a, b, c = Task(work=10), Task(work=15), Task(work=10)
+        sim.submit_jobs([Workflow([a, b, c], [(a.task_id, c.task_id)])])
+        started_while_a_running = []
+        start = sim._start
+
+        def probe(task, machine):
+            if task is c:
+                started_while_a_running.append(a.task_id in sim.running)
+            start(task, machine)
+
+        sim._start = probe
+        env.run()
+        assert started_while_a_running == [False]
+        assert c.start_time == pytest.approx(110.0)
+        assert [t.task_id for t in sim.finished] == [
+            b.task_id, a.task_id, c.task_id]
+        assert sim.submitted == len(sim.finished) == 3
 
 
 class TestRandomPolicySimulation:

@@ -89,6 +89,20 @@ class TestWorkflow:
         c.state = TaskState.DONE
         assert {t.task_id for t in wf.ready_tasks()} == {d.task_id}
 
+    def test_unlocked_by_reads_booked_ids_in_workflow_order(self):
+        wf, (a, b, c, d) = self._diamond()
+        # Ground-truth states play no part: only the ids passed in count.
+        assert wf.unlocked_by(a, set()) == []
+        assert wf.unlocked_by(a, {a.task_id}) == [b, c]
+        assert wf.unlocked_by(b, {a.task_id, b.task_id}) == []
+        assert wf.unlocked_by(c, {a.task_id, b.task_id, c.task_id}) == [d]
+        # Successors come back in the order the tasks were given, not
+        # the order the edges were.
+        x, y, z = Task(work=1), Task(work=1), Task(work=1)
+        wf = Workflow([x, y, z], [(x.task_id, z.task_id),
+                                  (x.task_id, y.task_id)])
+        assert wf.unlocked_by(x, {x.task_id}) == [y, z]
+
     def test_critical_path_of_diamond(self):
         wf, _ = self._diamond()
         # a -> c -> d = 1 + 3 + 4 = 8.
