@@ -5,7 +5,8 @@
 - [76] RTSenv: the uniform-fidelity scalability wall;
 - [81] Area of Simulation: cost reduction on replay-shaped workloads;
 - [82] Mirror: computation offloading;
-- [74]/[75] social networks: implicit communities and matchmaking;
+- [74]/[75] social networks: implicit communities, and matchmaking by
+  social proximity against random parties;
 - [77] toxicity: detector quality on planted toxic players;
 - [78] POGGI: puzzle generation throughput and rejection rate.
 """
@@ -22,6 +23,7 @@ from repro.mmog import (
     build_interaction_graph,
     generate_chat,
     generate_puzzles,
+    matchmaking_quality,
     rtsenv_sweep,
     run_provisioning,
     simulate_population,
@@ -143,14 +145,29 @@ def bench_tab6_social_networks(benchmark, report, table):
     graph = benchmark(build_interaction_graph, records)
     communities = [c for c in graph.communities() if len(c) >= 5]
     strong = graph.strong_ties(min_weight=3)
+    # Matchmaking [75]: one party per player, the player plus its four
+    # socially closest teammates, against random 5-player parties drawn
+    # from their own stream so the co-play draws above do not move.
+    players = sorted(graph.graph.nodes)
+    social_parties = [[p] + graph.suggest_teammates(p, k=4) for p in players]
+    party_rng = RandomStreams(seed=604).get("parties")
+    random_parties = [list(party_rng.choice(players, size=5, replace=False))
+                      for _ in players]
+    social_q = matchmaking_quality(graph, social_parties)
+    random_q = matchmaking_quality(graph, random_parties)
     report("tab6_social", "Table 6 [74,75]: implicit social networks", [
         f"- players: {graph.n_players}, ties: {graph.n_ties}",
         f"- strong (repeated) ties: {len(strong)}",
         f"- communities of >=5 players recovered: {len(communities)} "
         f"(8 planted)",
+        f"- matchmaking by social graph, mean in-party tie strength: "
+        f"{social_q:.2f}",
+        f"- random 5-player parties, mean in-party tie strength: "
+        f"{random_q:.2f}",
     ])
     assert len(communities) >= 5
     assert strong
+    assert social_q > random_q
 
 
 def bench_tab6_toxicity(benchmark, report, table):

@@ -1,29 +1,21 @@
-"""Datacenter substrate: machines, clusters, clouds, failures, and cost.
+"""Datacenter substrate: machines, clusters, failures, and cost.
 
-Models the environments of the paper's experiments (Table 9's Env column):
-own clusters (CL), grids (G), public clouds (CD), multi-cluster deployments
-(MCD), and geo-distributed datacenters (GDC).
+The paper's Table 9 Env column (CL, CD, G+CD, MCD, GDC) is realized as
+flat clusters of heterogeneous machines in
+:data:`repro.scheduling.experiments.ENVIRONMENTS`; a :class:`Cluster` is
+the one scheduling domain every experiment places work on.
 """
 
 from repro.cluster.machine import Machine, MachineState
-from repro.cluster.cluster import Cluster, MultiCluster, Site, GeoDatacenter
-from repro.cluster.cloud import Cloud, VM, VMState, BillingModel
-from repro.cluster.cost import CostModel, ON_DEMAND_PRICING, RESERVED_PRICING
+from repro.cluster.cluster import Cluster
+from repro.cluster.cost import CostModel, ON_DEMAND_PRICING
 from repro.cluster.failures import FailureInjector
 
 __all__ = [
-    "BillingModel",
-    "Cloud",
     "Cluster",
     "CostModel",
     "FailureInjector",
-    "GeoDatacenter",
     "Machine",
     "MachineState",
-    "MultiCluster",
     "ON_DEMAND_PRICING",
-    "RESERVED_PRICING",
-    "Site",
-    "VM",
-    "VMState",
 ]

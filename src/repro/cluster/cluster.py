@@ -1,4 +1,4 @@
-"""Clusters, multi-cluster deployments, and geo-distributed datacenters."""
+"""Clusters: named sets of machines that form one scheduling domain."""
 
 from __future__ import annotations
 
@@ -65,128 +65,7 @@ class Cluster:
                 return machine
         return None
 
-    def best_fit(self, cores: int, memory_gb: float = 0.0
-                 ) -> Optional[Machine]:
-        """The feasible machine with the fewest free cores (tightest fit)."""
-        candidates = [m for m in self.machines if m.can_fit(cores, memory_gb)]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda m: (m.free_cores, m.name))
-
-    def worst_fit(self, cores: int, memory_gb: float = 0.0
-                  ) -> Optional[Machine]:
-        """The feasible machine with the most free cores (load spreading)."""
-        candidates = [m for m in self.machines if m.can_fit(cores, memory_gb)]
-        if not candidates:
-            return None
-        return max(candidates, key=lambda m: (m.free_cores, m.name))
-
     def add_machine(self, machine: Machine) -> None:
         if any(m.name == machine.name for m in self.machines):
             raise ValueError(f"duplicate machine name {machine.name}")
         self.machines.append(machine)
-
-    def remove_machine(self, name: str) -> Machine:
-        for idx, machine in enumerate(self.machines):
-            if machine.name == name:
-                if machine.used_cores:
-                    raise RuntimeError(
-                        f"machine {name} still has {machine.used_cores} "
-                        "cores allocated")
-                return self.machines.pop(idx)
-        raise KeyError(name)
-
-
-class MultiCluster:
-    """Several clusters operated together (the DAS model, Table 9 'MCD')."""
-
-    def __init__(self, name: str, clusters: Iterable[Cluster]):
-        self.name = name
-        self.clusters = list(clusters)
-        if not self.clusters:
-            raise ValueError("at least one cluster required")
-
-    def __repr__(self) -> str:
-        return f"<MultiCluster {self.name}: {len(self.clusters)} clusters>"
-
-    @property
-    def total_cores(self) -> int:
-        return sum(c.total_cores for c in self.clusters)
-
-    @property
-    def free_cores(self) -> int:
-        return sum(c.free_cores for c in self.clusters)
-
-    @property
-    def utilization(self) -> float:
-        total = self.total_cores
-        used = sum(c.used_cores for c in self.clusters)
-        return used / total if total else 0.0
-
-    def least_loaded_cluster(self) -> Cluster:
-        return min(self.clusters, key=lambda c: (c.utilization, c.name))
-
-    def first_fit(self, cores: int, memory_gb: float = 0.0):
-        for cluster in self.clusters:
-            machine = cluster.first_fit(cores, memory_gb)
-            if machine is not None:
-                return cluster, machine
-        return None, None
-
-
-class Site:
-    """One geographic site of a geo-distributed datacenter."""
-
-    def __init__(self, name: str, cluster: Cluster, region: str = "eu-west"):
-        self.name = name
-        self.cluster = cluster
-        self.region = region
-
-    def __repr__(self) -> str:
-        return f"<Site {self.name} ({self.region})>"
-
-
-class GeoDatacenter:
-    """Geo-distributed datacenter: sites plus an inter-site latency matrix.
-
-    Latencies are one-way, in milliseconds; used by geo-aware placement
-    (MMOG operation, Table 9 'GDC' environments).
-    """
-
-    def __init__(self, name: str, sites: Iterable[Site],
-                 latency_ms: Optional[dict[tuple[str, str], float]] = None):
-        self.name = name
-        self.sites = {site.name: site for site in sites}
-        if not self.sites:
-            raise ValueError("at least one site required")
-        self._latency = dict(latency_ms or {})
-        # Make the matrix symmetric and reflexive.
-        for (a, b), value in list(self._latency.items()):
-            self._latency.setdefault((b, a), value)
-        for site in self.sites:
-            self._latency[(site, site)] = 0.0
-
-    def latency_ms(self, a: str, b: str) -> float:
-        try:
-            return self._latency[(a, b)]
-        except KeyError:
-            raise KeyError(f"no latency entry for sites ({a}, {b})") from None
-
-    @property
-    def total_cores(self) -> int:
-        return sum(site.cluster.total_cores for site in self.sites.values())
-
-    def nearest_site(self, client_latencies: dict[str, float]) -> Site:
-        """The site with minimal latency to a client.
-
-        ``client_latencies`` maps site name -> RTT of the client to it.
-        """
-        name = min(client_latencies, key=lambda s: (client_latencies[s], s))
-        return self.sites[name]
-
-    def sites_within(self, origin: str, max_latency_ms: float) -> list[Site]:
-        """Sites reachable from ``origin`` within a latency bound."""
-        return [
-            site for name, site in sorted(self.sites.items())
-            if self.latency_ms(origin, name) <= max_latency_ms
-        ]

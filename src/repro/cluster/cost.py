@@ -2,18 +2,18 @@
 
 Reproduces the cost-analysis dimension of the autoscaling experiments
 (§6.7: "an analysis of cost metrics based on several real-world cost
-models") and the business-model work in the MMOG domain.
+models"). The autoscaling experiment prices its resource-seconds under
+continuous and hourly billing from one :class:`CostModel`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class CostModel:
-    """Pricing for one instance type under one billing scheme.
+    """Pricing for one instance type.
 
     Parameters
     ----------
@@ -21,57 +21,12 @@ class CostModel:
         Human-readable scheme name.
     price_per_hour:
         Price of one instance-hour.
-    billing_granularity_s:
-        Charged time rounds *up* to a multiple of this (3600 for classic
-        EC2 hourly billing, 60 for per-minute, 1 for per-second billing).
-    minimum_charge_s:
-        Minimum charged duration per provisioning (e.g., 60 s minimum).
-    upfront:
-        One-time fee per instance (reserved-instance style).
     """
 
     name: str
     price_per_hour: float
-    billing_granularity_s: float = 3600.0
-    minimum_charge_s: float = 0.0
-    upfront: float = 0.0
-
-    def charge(self, seconds: float, instances: int = 1) -> float:
-        """Total price for running ``instances`` for ``seconds`` each."""
-        if seconds < 0:
-            raise ValueError("negative duration")
-        billed = max(seconds, self.minimum_charge_s)
-        if self.billing_granularity_s > 0:
-            billed = math.ceil(
-                billed / self.billing_granularity_s) * self.billing_granularity_s
-        return instances * (self.upfront + billed / 3600.0 * self.price_per_hour)
-
-    def charge_intervals(self, intervals: list[tuple[float, float]]) -> float:
-        """Total price for a list of (start, stop) provisioning intervals."""
-        return sum(self.charge(stop - start) for start, stop in intervals)
 
 
-#: Classic on-demand pricing, hourly billing (the model most of the paper's
-#: era used; e.g., EC2 m3-class instances).
-ON_DEMAND_PRICING = CostModel(
-    name="on-demand-hourly", price_per_hour=0.28,
-    billing_granularity_s=3600.0)
-
-#: Per-second billing with one-minute minimum (post-2017 cloud pricing).
-PER_SECOND_PRICING = CostModel(
-    name="on-demand-per-second", price_per_hour=0.28,
-    billing_granularity_s=1.0, minimum_charge_s=60.0)
-
-#: Reserved instances: upfront fee buys a cheaper hourly rate.
-RESERVED_PRICING = CostModel(
-    name="reserved", price_per_hour=0.08,
-    billing_granularity_s=3600.0, upfront=0.35)
-
-
-def cheapest_for(duration_s: float,
-                 models: list[CostModel]) -> tuple[CostModel, float]:
-    """The cheapest model for a single provisioning of ``duration_s``."""
-    if not models:
-        raise ValueError("no cost models supplied")
-    best = min(models, key=lambda m: (m.charge(duration_s), m.name))
-    return best, best.charge(duration_s)
+#: Classic on-demand pricing (the model most of the paper's era used;
+#: e.g., EC2 m3-class instances).
+ON_DEMAND_PRICING = CostModel(name="on-demand-hourly", price_per_hour=0.28)

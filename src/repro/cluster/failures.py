@@ -53,6 +53,3 @@ class FailureInjector(CrashRestart):
         super().repair_now(machine)
         self.monitor.record("up_machines", len(self.cluster.up_machines()))
 
-    def availability(self) -> float:
-        """Fraction of machines currently up."""
-        return len(self.cluster.up_machines()) / len(self.cluster.machines)

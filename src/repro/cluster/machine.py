@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
 
 
 class MachineState(enum.Enum):
@@ -80,24 +79,19 @@ class Machine:
         self.used_cores += cores
         self.used_memory_gb += memory_gb
 
-    def release(self, cores: int, memory_gb: float = 0.0,
-                incarnation: Optional[int] = None) -> bool:
+    def release(self, cores: int, memory_gb: float = 0.0, *,
+                incarnation: int) -> bool:
         """Return an allocation; True if it was actually accounted.
 
-        Callers that may outlive a crash pass the ``incarnation`` observed
-        at :meth:`allocate` time: a crash (:meth:`fail`) wipes all
-        allocations and bumps the incarnation, so a release for a task that
-        died mid-crash is recognized as stale and ignored instead of
-        double-freeing or driving the counters negative.
+        ``incarnation`` is the one observed at :meth:`allocate` time: a
+        crash (:meth:`fail`) wipes all allocations and bumps the
+        incarnation, so a release for a task that died mid-crash is
+        recognized as stale and ignored instead of double-freeing or
+        driving the counters negative.
         """
-        if incarnation is not None and incarnation != self.incarnation:
+        if incarnation != self.incarnation:
             return False  # stale: allocation already wiped by a crash
         if cores > self.used_cores:
-            if incarnation is None and self.incarnation > 0:
-                # Legacy caller racing a crash: tolerate, clamp to empty.
-                self.used_cores = 0
-                self.used_memory_gb = 0.0
-                return False
             raise RuntimeError(
                 f"machine {self.name}: releasing {cores} cores but only "
                 f"{self.used_cores} allocated")

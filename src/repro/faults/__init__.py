@@ -16,8 +16,7 @@ This package provides the two halves of that evaluation on top of
   of a known kind over a sim-time window, the fault plan the composed
   chaos worlds and the campaign's schedules share;
 - **resilience policies** (:mod:`repro.faults.policies`) — the retry
-  backoff schedule the FaaS platform follows, and hedging as a
-  sim-process combinator any domain can wrap around its operations.
+  backoff schedule the FaaS platform follows.
 
 The chaos harness (:mod:`repro.faults.chaos`) crosses the two into a
 scenario matrix and reports availability/SLO attainment per cell; see
@@ -37,12 +36,11 @@ from repro.faults.partition import (
     PartitionEpisode,
     ScheduledMessageLoss,
 )
-from repro.faults.policies import Hedge, RetryPolicy, as_event
+from repro.faults.policies import RetryPolicy
 
 __all__ = [
     "CrashRestart",
     "GrayFailureModel",
-    "Hedge",
     "MessageLossModel",
     "NetworkPartitionModel",
     "PartitionEpisode",
@@ -50,5 +48,4 @@ __all__ = [
     "ScheduledMessageLoss",
     "StragglerModel",
     "TransientErrorModel",
-    "as_event",
 ]

@@ -33,7 +33,6 @@ from repro.faults.partition import (
 from repro.faults.policies import RetryPolicy
 from repro.invariants import InvariantEngine, standard_laws
 from repro.recovery import (
-    AdaptiveCheckpoint,
     CHECKPOINT_TIERS,
     CheckpointStore,
     CheckpointedJob,
@@ -339,13 +338,12 @@ def run_recovery_scenario(seed: int = 0, policy: str = "daly",
 
     ``policy`` selects the recovery stance: ``"none"`` restarts from
     scratch on every crash (the baseline), ``"periodic"`` checkpoints
-    every ``interval_s`` seconds, ``"daly"`` uses the Young/Daly optimum
-    computed *from the active fault model*, and ``"adaptive"`` starts
-    from a 4x-wrong MTBF guess and re-estimates it online. The returned
-    dict carries the full recovery ledger: makespan inflation, lost
-    work, checkpoint overhead, and recovery time.
+    every ``interval_s`` seconds, and ``"daly"`` uses the Young/Daly
+    optimum computed *from the active fault model*. The returned dict
+    carries the full recovery ledger: makespan inflation, lost work,
+    checkpoint overhead, and recovery time.
     """
-    if policy not in ("none", "periodic", "daly", "adaptive"):
+    if policy not in ("none", "periodic", "daly"):
         raise ValueError(f"unknown recovery policy {policy!r}")
     streams = RandomStreams(seed)
     env = Environment()
@@ -361,11 +359,8 @@ def run_recovery_scenario(seed: int = 0, policy: str = "daly",
             if interval_s is None:
                 raise ValueError("policy='periodic' needs interval_s")
             ckpt_policy = PeriodicCheckpoint(interval_s)
-        elif policy == "daly":
-            ckpt_policy = DalyOptimalCheckpoint(cost_s, mtbf_s=mtbf_s)
         else:
-            ckpt_policy = AdaptiveCheckpoint(cost_s,
-                                             initial_mtbf_s=4.0 * mtbf_s)
+            ckpt_policy = DalyOptimalCheckpoint(cost_s, mtbf_s=mtbf_s)
     if tracer is not None and tracer.env is None:
         tracer.bind(env)
     job = CheckpointedJob(env, work_s=work_s, policy=ckpt_policy,

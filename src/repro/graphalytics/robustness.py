@@ -1,95 +1,29 @@
-"""Robustness for graph-analytics jobs: hedging and superstep recovery.
+"""Robustness for graph-analytics jobs: superstep recovery.
 
-Graphalytics-style platform runs are long, and two failure shapes
-dominate. A slow executor (skewed partition, sick node) multiplies a
-job's completion time — the straggler problem, mitigated by *hedging*:
-after a quantile delay, launch a speculative duplicate and take
-whichever finishes first. A crashed executor loses the job's in-memory
-state entirely — mitigated by *superstep checkpointing*: iterative
-kernels (pagerank, cdlp, sssp) are BSP computations whose state is
-consistent exactly at superstep barriers, so checkpoints land on those
-boundaries and a crash resumes at the last checkpointed superstep
-instead of iteration zero.
+Graphalytics-style platform runs are long, and a crashed executor loses
+the job's in-memory state entirely. *Superstep checkpointing* mitigates
+that: iterative kernels (pagerank, cdlp, sssp) are BSP computations
+whose state is consistent exactly at superstep barriers, so checkpoints
+land on those boundaries and a crash resumes at the last checkpointed
+superstep instead of iteration zero.
 
-:func:`run_jobs_with_stragglers` replays modeled job times through the
-DES with a :class:`~repro.faults.models.StragglerModel` and an optional
-:class:`~repro.faults.policies.Hedge`. :func:`run_supersteps_with_recovery`
-replays an iterative kernel's superstep profile (see
-:func:`superstep_profile`) under :class:`~repro.faults.models.CrashRestart`
-with per-superstep checkpointing, accounting lost supersteps, checkpoint
-overhead, and recovery time.
+:func:`run_supersteps_with_recovery` replays an iterative kernel's
+superstep profile (see :func:`superstep_profile`) under
+:class:`~repro.faults.models.CrashRestart` with per-superstep
+checkpointing, accounting lost supersteps, checkpoint overhead, and
+recovery time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from repro.faults.models import CrashRestart, StragglerModel
-from repro.faults.policies import Hedge
+from repro.faults.models import CrashRestart
 from repro.recovery import CheckpointedJob, CheckpointPolicy, CheckpointStore
-from repro.sim import AllOf, Environment
-
-
-@dataclass
-class StragglerRunResult:
-    """Completion statistics of one straggler-afflicted batch."""
-
-    n_jobs: int
-    makespan_s: float
-    mean_time_s: float
-    p95_time_s: float
-    stragglers: int
-    #: Total attempts launched (> n_jobs when hedging duplicated work).
-    attempts: int
-    hedge_wins: int
-
-    @property
-    def duplicate_work_fraction(self) -> float:
-        return self.attempts / self.n_jobs - 1.0 if self.n_jobs else 0.0
-
-
-def run_jobs_with_stragglers(
-        job_times_s: Sequence[float],
-        straggler: StragglerModel,
-        hedge: Optional[Hedge] = None,
-        env: Optional[Environment] = None) -> StragglerRunResult:
-    """Run every job concurrently; each *attempt* redraws its straggler fate.
-
-    Without a hedge, a straggler multiplies its job's time. With a hedge,
-    the duplicate attempt redraws — it is unlikely to straggle too, so the
-    winner is usually the healthy copy.
-    """
-    if not job_times_s:
-        raise ValueError("need at least one job time")
-    env = env or Environment()
-    times: list[float] = []
-
-    def attempt(base_s: float):
-        yield env.timeout(base_s * straggler.runtime_factor())
-
-    def job(base_s: float):
-        start = env.now
-        if hedge is not None:
-            yield from hedge.run(env, lambda: attempt(base_s))
-        else:
-            yield env.process(attempt(base_s))
-        times.append(env.now - start)
-
-    jobs = [env.process(job(float(t))) for t in job_times_s]
-    env.run(until=AllOf(env, jobs))
-    arr = np.asarray(times)
-    return StragglerRunResult(
-        n_jobs=len(arr),
-        makespan_s=float(env.now),
-        mean_time_s=float(arr.mean()),
-        p95_time_s=float(np.percentile(arr, 95)),
-        stragglers=straggler.stragglers,
-        attempts=hedge.launched if hedge is not None else len(arr),
-        hedge_wins=hedge.hedge_wins if hedge is not None else 0,
-    )
+from repro.sim import Environment
 
 
 def superstep_profile(run) -> tuple[int, float]:

@@ -3,9 +3,11 @@
 The paper decomposes the MMOG ecosystem into four functions; all four are
 modelled:
 
-1. virtual-world operation — :mod:`repro.mmog.world` (zones, sessions,
-   capacity) and :mod:`repro.mmog.rts` (RTSenv scalability, points of
-   interest, the Area-of-Simulation technique, Mirror offloading);
+1. virtual-world operation — :mod:`repro.mmog.world` (zones and
+   sessions with a player capacity, which the Yardstick capacity study
+   in :mod:`repro.mmog.yardstick` fills) and :mod:`repro.mmog.rts`
+   (RTSenv scalability, points of interest, the Area-of-Simulation
+   technique, Mirror offloading);
 2. gaming analytics — :mod:`repro.mmog.dynamics` (the longitudinal
    player-dynamics studies) and :mod:`repro.mmog.provisioning`
    (prediction-driven cloud provisioning for MMOGs);
@@ -15,7 +17,7 @@ modelled:
    matchmaking) and :mod:`repro.mmog.toxicity` (toxicity detection).
 """
 
-from repro.mmog.world import VirtualWorld, Zone, PlayerSession
+from repro.mmog.world import Zone, PlayerSession
 from repro.mmog.dynamics import (
     GENRE_PROFILES,
     GenreProfile,
@@ -76,7 +78,6 @@ __all__ = [
     "RTSWorkload",
     "ToxicityDetector",
     "TrendPredictor",
-    "VirtualWorld",
     "Zone",
     "build_interaction_graph",
     "generate_chat",

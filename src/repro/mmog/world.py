@@ -1,4 +1,7 @@
-"""The virtual world: zones, sessions, and capacity (Function 1)."""
+"""The virtual world: zones, sessions, and capacity (Function 1).
+
+Yardstick (:mod:`repro.mmog.yardstick`) places players into these zones.
+"""
 
 from __future__ import annotations
 
@@ -76,49 +79,3 @@ class Zone:
         self.players.discard(session.session_id)
         session.zone = None
 
-
-class VirtualWorld:
-    """A collection of zones with least-loaded placement."""
-
-    def __init__(self, zones: Optional[list[Zone]] = None):
-        self.zones: dict[str, Zone] = {z.name: z for z in (zones or [])}
-        self.rejected_joins = 0
-
-    def add_zone(self, zone: Zone) -> None:
-        if zone.name in self.zones:
-            raise ValueError(f"duplicate zone {zone.name}")
-        self.zones[zone.name] = zone
-
-    def remove_zone(self, name: str) -> Zone:
-        zone = self.zones.get(name)
-        if zone is None:
-            raise KeyError(name)
-        if zone.population:
-            raise RuntimeError(f"zone {name} still has players")
-        return self.zones.pop(name)
-
-    @property
-    def population(self) -> int:
-        return sum(z.population for z in self.zones.values())
-
-    @property
-    def total_soft_capacity(self) -> int:
-        return sum(z.soft_capacity for z in self.zones.values())
-
-    def place(self, session: PlayerSession) -> Optional[Zone]:
-        """Least-loaded join; None (and a rejection count) if all full."""
-        candidates = sorted(self.zones.values(),
-                            key=lambda z: (z.population, z.name))
-        for zone in candidates:
-            if zone.try_join(session):
-                return zone
-        self.rejected_joins += 1
-        return None
-
-    def overloaded_zones(self) -> list[Zone]:
-        return [z for z in self.zones.values() if z.overloaded]
-
-    def worst_tick_hz(self) -> float:
-        if not self.zones:
-            return 0.0
-        return min(z.tick_hz for z in self.zones.values())

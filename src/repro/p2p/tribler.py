@@ -10,8 +10,8 @@ speedup grows with the size and availability of one's social circle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import networkx as nx
 import numpy as np
@@ -91,30 +91,6 @@ class SocialOverlay:
         solo = collector_rate_mbps(self.members[collector].peer_class, 0)
         social = self.download_rate_mbps(collector, max_helpers)
         return social / solo
-
-
-def build_overlay(rng: np.random.Generator,
-                  n_members: int = 100,
-                  mean_friends: int = 6,
-                  online_fraction: float = 0.6,
-                  busy_fraction: float = 0.3,
-                  peer_class_name: str = "adsl") -> SocialOverlay:
-    """A Watts-Strogatz friendship overlay with realistic availability."""
-    if n_members < 3:
-        raise ValueError("need at least 3 members")
-    overlay = SocialOverlay()
-    for i in range(n_members):
-        overlay.add_member(SocialPeer(
-            name=f"m{i:03d}",
-            peer_class=PEER_CLASSES[peer_class_name],
-            online=bool(rng.random() < online_fraction),
-            busy=bool(rng.random() < busy_fraction)))
-    friendship = nx.watts_strogatz_graph(
-        n_members, k=max(2, mean_friends), p=0.2,
-        seed=int(rng.integers(2**31)))
-    for a, b in friendship.edges:
-        overlay.befriend(f"m{a:03d}", f"m{b:03d}")
-    return overlay
 
 
 def social_circle_study(rng: np.random.Generator,

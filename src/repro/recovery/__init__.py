@@ -11,9 +11,7 @@ phrases as ecosystems that "survive failures without losing work".
   pay the checkpoint cost: a fixed :class:`PeriodicCheckpoint`, the
   Young/Daly optimum :class:`DalyOptimalCheckpoint`
   (``sqrt(2 * checkpoint_cost * MTBF)``, read off the active
-  :class:`~repro.faults.models.CrashRestart` model), and an
-  :class:`AdaptiveCheckpoint` that re-estimates MTBF online from the
-  failures it actually observes;
+  :class:`~repro.faults.models.CrashRestart` model);
 - **checkpoint storage** (:mod:`repro.recovery.store`) — a
   :class:`CheckpointStore` with tiered write/read cost (size-proportional
   transfer time), keep-last-k retention, and a corruption probability
@@ -39,7 +37,6 @@ harness compares no-checkpoint vs. periodic vs. Daly-optimal in
 from repro.recovery.journal import Journal, JournalRecord
 from repro.recovery.job import CheckpointedJob, RecoveryStats
 from repro.recovery.policies import (
-    AdaptiveCheckpoint,
     CheckpointPolicy,
     DalyOptimalCheckpoint,
     PeriodicCheckpoint,
@@ -54,7 +51,6 @@ from repro.recovery.store import (
 )
 
 __all__ = [
-    "AdaptiveCheckpoint",
     "CHECKPOINT_TIERS",
     "Checkpoint",
     "CheckpointCorruptionError",

@@ -213,8 +213,6 @@ class CheckpointedJob:
                     self._phase_span = None
                 if self._span is not None:
                     self.tracer.add_event(self._span, "crash", phase=phase)
-                if self.policy is not None:
-                    self.policy.record_failure(self.env.now)
                 if phase == "recover":
                     self.recovery_time_s += self.env.now - phase_t0
                 else:

@@ -39,13 +39,6 @@ class CheckpointPolicy:
         """Seconds of work to perform before the next checkpoint."""
         raise NotImplementedError
 
-    def record_failure(self, now: float) -> None:
-        """Observation hook: a crash happened at sim time ``now``.
-
-        The base policies ignore it; :class:`AdaptiveCheckpoint` feeds it
-        into its online MTBF estimate.
-        """
-
 
 class PeriodicCheckpoint(CheckpointPolicy):
     """Checkpoint every fixed ``interval_s`` seconds of work."""
@@ -100,51 +93,3 @@ class DalyOptimalCheckpoint(CheckpointPolicy):
         return (f"DalyOptimalCheckpoint(C={self.checkpoint_cost_s:g}s, "
                 f"MTBF={self.mtbf_s:g}s -> {self.interval_s():g}s)")
 
-
-class AdaptiveCheckpoint(CheckpointPolicy):
-    """Young/Daly with the MTBF re-estimated online from observed crashes.
-
-    Starts from ``initial_mtbf_s`` (an operator guess, possibly badly
-    wrong); every :meth:`record_failure` updates the maximum-likelihood
-    exponential estimate ``elapsed / failures`` and the interval tracks
-    ``sqrt(2 * C * MTBF_hat)``. Until ``min_observations`` failures have
-    been seen the guess is kept — one sample is not a regime.
-    """
-
-    name = "adaptive"
-
-    def __init__(self, checkpoint_cost_s: float, initial_mtbf_s: float,
-                 min_observations: int = 2, started_at: float = 0.0):
-        daly_interval_s(checkpoint_cost_s, initial_mtbf_s)  # validates
-        if min_observations < 1:
-            raise ValueError("min_observations must be >= 1")
-        self.checkpoint_cost_s = float(checkpoint_cost_s)
-        self.initial_mtbf_s = float(initial_mtbf_s)
-        self.min_observations = min_observations
-        self.started_at = float(started_at)
-        self.failure_times: list[float] = []
-
-    def record_failure(self, now: float) -> None:
-        self.failure_times.append(float(now))
-
-    @property
-    def observed_failures(self) -> int:
-        return len(self.failure_times)
-
-    def mtbf_estimate_s(self) -> float:
-        """MLE for an exponential failure process, or the initial guess."""
-        if len(self.failure_times) < self.min_observations:
-            return self.initial_mtbf_s
-        elapsed = self.failure_times[-1] - self.started_at
-        if elapsed <= 0:
-            return self.initial_mtbf_s
-        return elapsed / len(self.failure_times)
-
-    def interval_s(self) -> float:
-        return daly_interval_s(self.checkpoint_cost_s,
-                               self.mtbf_estimate_s())
-
-    def __repr__(self) -> str:
-        return (f"AdaptiveCheckpoint(C={self.checkpoint_cost_s:g}s, "
-                f"MTBF_hat={self.mtbf_estimate_s():g}s from "
-                f"{self.observed_failures} failures)")

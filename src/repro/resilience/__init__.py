@@ -1,7 +1,7 @@
 """System-level self-protection: detect, admit, degrade.
 
 PR 1 (:mod:`repro.faults`) gave every domain fault *injection* and
-per-request resilience (retry, timeout, breaker, hedge). This package is
+per-request resilience (retry backoff). This package is
 the *system-level* response side the paper's Principles P3/P4 call for —
 dynamic non-functional properties managed through monitoring, not assumed:
 

@@ -662,7 +662,7 @@ class ClusterSimulator:
             self._kick()
             return
         machine.release(task.cores, task.memory_gb,
-                        incarnation=self._incarnations.pop(task.task_id, None))
+                        incarnation=self._incarnations.pop(task.task_id))
         self.goodput_core_s += runtime * task.cores
         task.state = TaskState.DONE
         task.finish_time = self.env.now

@@ -24,7 +24,6 @@ from repro.workload.arrivals import (
 from repro.workload.generators import (
     WorkloadSpec,
     WORKLOAD_DOMAINS,
-    generate_bot_workload,
     generate_domain_workload,
     generate_workflow,
     generate_workflow_workload,
@@ -46,7 +45,6 @@ __all__ = [
     "Workflow",
     "WorkloadSpec",
     "WORKLOAD_DOMAINS",
-    "generate_bot_workload",
     "generate_domain_workload",
     "generate_workflow",
     "generate_workflow_workload",

@@ -78,28 +78,6 @@ def _lognormal_work(rng: np.random.Generator, mean: float,
     return float(rng.lognormal(mu, sigma))
 
 
-def generate_bot_workload(rng: np.random.Generator, n_jobs: int,
-                          spec: Optional[WorkloadSpec] = None,
-                          horizon_s: float = 86400.0) -> list[BagOfTasks]:
-    """A list of bags-of-tasks with Poisson arrivals over ``horizon_s``."""
-    spec = spec or WORKLOAD_DOMAINS["synthetic"]
-    arrivals = PoissonArrivals(spec.arrival_rate, rng)
-    bags = []
-    for arrival in arrivals.times(horizon_s):
-        if len(bags) >= n_jobs:
-            break
-        size = max(1, int(rng.poisson(spec.mean_bag_size)))
-        tasks = []
-        for _ in range(size):
-            work = _lognormal_work(rng, spec.mean_work, spec.work_sigma)
-            task = Task(work=work)
-            task.runtime_estimate = work * float(
-                rng.uniform(1.0, spec.estimate_error))
-            tasks.append(task)
-        bags.append(BagOfTasks(tasks, submit_time=arrival))
-    return bags
-
-
 def generate_workflow(rng: np.random.Generator,
                       n_tasks: int = 20,
                       mean_work: float = 100.0,

@@ -153,7 +153,7 @@ def test_leak_sanitizer_flags_machine_allocation():
     machine.allocate(2, 1.0)
     leaks = sanitizer.leaks()
     assert any("core(s) still allocated" in leak for leak in leaks)
-    machine.release(2, 1.0)
+    machine.release(2, 1.0, incarnation=machine.incarnation)
     assert sanitizer.leaks() == []
 
 

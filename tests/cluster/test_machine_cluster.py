@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import Cluster, GeoDatacenter, Machine, MachineState, MultiCluster, Site
+from repro.cluster import Cluster, Machine, MachineState
 
 
 class TestMachine:
@@ -13,7 +13,7 @@ class TestMachine:
         assert m.free_cores == 1
         assert m.free_memory_gb == 4
         assert m.utilization == 0.75
-        m.release(3, memory_gb=4)
+        m.release(3, memory_gb=4, incarnation=m.incarnation)
         assert m.free_cores == 4
 
     def test_over_allocation_rejected(self):
@@ -25,7 +25,7 @@ class TestMachine:
     def test_over_release_rejected(self):
         m = Machine("m0", cores=2)
         with pytest.raises(RuntimeError):
-            m.release(1)
+            m.release(1, incarnation=m.incarnation)
 
     def test_memory_constraint(self):
         m = Machine("m0", cores=8, memory_gb=4)
@@ -78,103 +78,20 @@ class TestCluster:
             m.allocate(2)
         assert c.first_fit(1) is None
 
-    def test_best_fit_prefers_tightest(self):
-        a, b = Machine("a", cores=8), Machine("b", cores=4)
-        a.allocate(1)  # 7 free
-        c = Cluster("c", [a, b])
-        assert c.best_fit(cores=2).name == "b"
-
-    def test_worst_fit_prefers_emptiest(self):
-        a, b = Machine("a", cores=8), Machine("b", cores=4)
-        c = Cluster("c", [a, b])
-        assert c.worst_fit(cores=2).name == "a"
-
     def test_down_machines_excluded_from_totals(self):
         c = Cluster.homogeneous("c", 4, cores=4)
         c.machines[0].state = MachineState.DOWN
         assert c.total_cores == 12
         assert len(c.up_machines()) == 3
 
-    def test_add_remove_machine(self):
+    def test_add_machine(self):
         c = Cluster.homogeneous("c", 2)
         c.add_machine(Machine("extra", cores=16))
         assert len(c) == 3
-        removed = c.remove_machine("extra")
-        assert removed.cores == 16
-        with pytest.raises(KeyError):
-            c.remove_machine("extra")
-
-    def test_remove_busy_machine_rejected(self):
-        c = Cluster.homogeneous("c", 1, cores=4)
-        c.machines[0].allocate(1)
-        with pytest.raises(RuntimeError):
-            c.remove_machine(c.machines[0].name)
+        assert c.machines[-1].cores == 16
 
     def test_add_duplicate_rejected(self):
         c = Cluster.homogeneous("c", 1)
         with pytest.raises(ValueError):
             c.add_machine(Machine(c.machines[0].name))
 
-
-class TestMultiCluster:
-    def test_aggregates(self):
-        mc = MultiCluster("das", [
-            Cluster.homogeneous("c1", 2, cores=4),
-            Cluster.homogeneous("c2", 3, cores=8),
-        ])
-        assert mc.total_cores == 8 + 24
-
-    def test_least_loaded(self):
-        c1 = Cluster.homogeneous("c1", 1, cores=4)
-        c2 = Cluster.homogeneous("c2", 1, cores=4)
-        c1.machines[0].allocate(3)
-        mc = MultiCluster("das", [c1, c2])
-        assert mc.least_loaded_cluster().name == "c2"
-
-    def test_first_fit_spans_clusters(self):
-        c1 = Cluster.homogeneous("c1", 1, cores=2)
-        c2 = Cluster.homogeneous("c2", 1, cores=8)
-        c1.machines[0].allocate(2)
-        mc = MultiCluster("das", [c1, c2])
-        cluster, machine = mc.first_fit(cores=4)
-        assert cluster.name == "c2"
-        assert machine is not None
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            MultiCluster("x", [])
-
-
-class TestGeoDatacenter:
-    def _gdc(self):
-        sites = [
-            Site("ams", Cluster.homogeneous("ams", 2, cores=8), "eu-west"),
-            Site("nyc", Cluster.homogeneous("nyc", 2, cores=8), "us-east"),
-            Site("sgp", Cluster.homogeneous("sgp", 1, cores=8), "ap-south"),
-        ]
-        latency = {("ams", "nyc"): 80.0, ("ams", "sgp"): 160.0,
-                   ("nyc", "sgp"): 220.0}
-        return GeoDatacenter("global", sites, latency)
-
-    def test_latency_symmetric_and_reflexive(self):
-        gdc = self._gdc()
-        assert gdc.latency_ms("ams", "nyc") == gdc.latency_ms("nyc", "ams")
-        assert gdc.latency_ms("sgp", "sgp") == 0.0
-
-    def test_unknown_pair_raises(self):
-        gdc = self._gdc()
-        with pytest.raises(KeyError):
-            gdc.latency_ms("ams", "lon")
-
-    def test_nearest_site_for_client(self):
-        gdc = self._gdc()
-        site = gdc.nearest_site({"ams": 120.0, "nyc": 20.0, "sgp": 300.0})
-        assert site.name == "nyc"
-
-    def test_sites_within_latency_bound(self):
-        gdc = self._gdc()
-        names = [s.name for s in gdc.sites_within("ams", 100.0)]
-        assert names == ["ams", "nyc"]
-
-    def test_total_cores(self):
-        assert self._gdc().total_cores == 40

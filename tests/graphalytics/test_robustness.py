@@ -1,48 +1,8 @@
-"""Tests for straggler mitigation via hedging in graph analytics."""
+"""Tests for superstep recovery in graph analytics."""
 
 import pytest
 
-from repro.faults import Hedge, StragglerModel
-from repro.graphalytics.robustness import run_jobs_with_stragglers
 from repro.sim import RandomStreams
-
-
-def _straggler(seed=5, probability=0.25, multiplier=8.0):
-    return StragglerModel(RandomStreams(seed=seed).get("stragglers"),
-                          probability=probability, multiplier=multiplier)
-
-
-class TestStragglerRuns:
-    def test_stragglers_inflate_the_tail(self):
-        healthy = run_jobs_with_stragglers(
-            [10.0] * 100, _straggler(probability=0.0))
-        sick = run_jobs_with_stragglers([10.0] * 100, _straggler())
-        assert healthy.p95_time_s == pytest.approx(10.0)
-        assert sick.p95_time_s == pytest.approx(80.0)
-        assert sick.stragglers > 0
-
-    def test_hedging_recovers_the_tail(self):
-        sick = run_jobs_with_stragglers([10.0] * 100, _straggler())
-        hedged = run_jobs_with_stragglers(
-            [10.0] * 100, _straggler(), hedge=Hedge(delay_s=12.0))
-        # The duplicate attempt redraws its straggler fate, so the tail
-        # collapses from 8x to roughly delay + runtime.
-        assert hedged.p95_time_s < 0.4 * sick.p95_time_s
-        assert hedged.hedge_wins > 0
-        # Speculation costs duplicate work.
-        assert hedged.attempts > hedged.n_jobs
-        assert hedged.duplicate_work_fraction > 0.0
-
-    def test_deterministic_under_seed(self):
-        a = run_jobs_with_stragglers([5.0, 10.0, 20.0] * 10, _straggler(),
-                                     hedge=Hedge(delay_s=12.0))
-        b = run_jobs_with_stragglers([5.0, 10.0, 20.0] * 10, _straggler(),
-                                     hedge=Hedge(delay_s=12.0))
-        assert a == b
-
-    def test_empty_jobs_rejected(self):
-        with pytest.raises(ValueError):
-            run_jobs_with_stragglers([], _straggler())
 
 
 class TestSuperstepRecovery:

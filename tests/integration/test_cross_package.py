@@ -15,7 +15,7 @@ from repro.scheduling import ClusterSimulator, FCFSPolicy, SJFPolicy, simulate_s
 from repro.scheduling.policies import make_policy
 from repro.sim import Environment, RandomStreams
 from repro.workload import BagOfTasks, Task, TraceArchive, TraceArrivals
-from repro.workload.generators import generate_bot_workload
+from repro.workload.generators import generate_domain_workload
 
 
 class TestFailureAwareScheduling:
@@ -78,8 +78,8 @@ class TestDesignFrameworkDrivesExperiments:
 
         def quality(candidate):
             rng = streams.spawn(str(sorted(candidate.choices))).get("w")
-            jobs = generate_bot_workload(rng, n_jobs=6,
-                                         horizon_s=30 * 86400)
+            jobs = generate_domain_workload(rng, "synthetic", n_jobs=6,
+                                            horizon_s=30 * 86400)
             cluster = Cluster.homogeneous(
                 "dc", int(candidate["machines"]), cores=2)
             policy = make_policy(candidate["policy"], rng)

@@ -9,7 +9,6 @@ from repro.mmog import (
     MovingAveragePredictor,
     PlayerSession,
     TrendPredictor,
-    VirtualWorld,
     Zone,
     run_provisioning,
     simulate_population,
@@ -52,37 +51,6 @@ class TestZone:
     def test_invalid_capacities(self):
         with pytest.raises(ValueError):
             Zone("z", soft_capacity=10, hard_capacity=5)
-
-
-class TestVirtualWorld:
-    def test_least_loaded_placement(self):
-        world = VirtualWorld([Zone("a", 5, 10), Zone("b", 5, 10)])
-        z1 = world.place(PlayerSession("p1", start=0))
-        z2 = world.place(PlayerSession("p2", start=0))
-        assert {z1.name, z2.name} == {"a", "b"}
-
-    def test_rejection_counted_when_full(self):
-        world = VirtualWorld([Zone("a", 1, 1)])
-        world.place(PlayerSession("p1", start=0))
-        assert world.place(PlayerSession("p2", start=0)) is None
-        assert world.rejected_joins == 1
-
-    def test_remove_populated_zone_rejected(self):
-        world = VirtualWorld([Zone("a", 5, 10)])
-        world.place(PlayerSession("p", start=0))
-        with pytest.raises(RuntimeError):
-            world.remove_zone("a")
-
-    def test_duplicate_zone_rejected(self):
-        world = VirtualWorld([Zone("a", 5, 10)])
-        with pytest.raises(ValueError):
-            world.add_zone(Zone("a", 5, 10))
-
-    def test_worst_tick(self):
-        world = VirtualWorld([Zone("a", 1, 10), Zone("b", 100, 110)])
-        for i in range(5):
-            world.zones["a"].try_join(PlayerSession(f"p{i}", start=0))
-        assert world.worst_tick_hz() < world.zones["b"].tick_hz
 
 
 class TestPopulationDynamics:

@@ -6,7 +6,6 @@ from repro.p2p.peer import PEER_CLASSES
 from repro.p2p.tribler import (
     SocialOverlay,
     SocialPeer,
-    build_overlay,
     social_circle_study,
 )
 from repro.sim import RandomStreams
@@ -57,27 +56,6 @@ class TestSocialOverlay:
         overlay = overlay_with_friends(32)
         rate = overlay.download_rate_mbps("c", max_helpers=32)
         assert rate <= PEER_CLASSES["adsl"].download_kbps / 1024.0 + 1e-9
-
-
-class TestBuildOverlay:
-    def test_structure(self):
-        rng = RandomStreams(seed=61).get("tribler")
-        overlay = build_overlay(rng, n_members=60, mean_friends=6)
-        assert len(overlay.members) == 60
-        degrees = [len(overlay.friends_of(m)) for m in overlay.members]
-        assert sum(degrees) / len(degrees) >= 4
-
-    def test_availability_mix(self):
-        rng = RandomStreams(seed=62).get("tribler")
-        overlay = build_overlay(rng, n_members=200,
-                                online_fraction=0.5, busy_fraction=0.5)
-        online = sum(1 for m in overlay.members.values() if m.online)
-        assert 60 < online < 140
-
-    def test_validation(self):
-        rng = RandomStreams(seed=63).get("tribler")
-        with pytest.raises(ValueError):
-            build_overlay(rng, n_members=2)
 
 
 class TestSocialCircleStudy:

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.recovery import (
-    AdaptiveCheckpoint,
     DalyOptimalCheckpoint,
     PeriodicCheckpoint,
     daly_interval_s,
@@ -32,8 +31,6 @@ class TestDalyInterval:
 class TestPeriodicCheckpoint:
     def test_fixed_interval(self):
         policy = PeriodicCheckpoint(30.0)
-        assert policy.interval_s() == 30.0
-        policy.record_failure(100.0)  # no-op hook
         assert policy.interval_s() == 30.0
 
     def test_invalid_interval(self):
@@ -66,38 +63,3 @@ class TestDalyOptimalCheckpoint:
         with pytest.raises(ValueError):
             DalyOptimalCheckpoint(0.0, mtbf_s=100.0)
 
-
-class TestAdaptiveCheckpoint:
-    def test_uses_guess_until_min_observations(self):
-        policy = AdaptiveCheckpoint(2.0, initial_mtbf_s=1000.0,
-                                    min_observations=2)
-        assert policy.mtbf_estimate_s() == 1000.0
-        policy.record_failure(100.0)
-        assert policy.mtbf_estimate_s() == 1000.0  # one sample: still guess
-        policy.record_failure(300.0)
-        # MLE: last failure time / number of failures.
-        assert policy.mtbf_estimate_s() == pytest.approx(150.0)
-
-    def test_interval_tracks_estimate(self):
-        policy = AdaptiveCheckpoint(2.0, initial_mtbf_s=1000.0,
-                                    min_observations=1)
-        before = policy.interval_s()
-        policy.record_failure(50.0)  # MTBF estimate collapses to 50
-        after = policy.interval_s()
-        assert after < before
-        assert after == pytest.approx(daly_interval_s(2.0, 50.0))
-
-    def test_converges_toward_true_mtbf(self):
-        # Failures arriving every 200s drive the estimate to 200.
-        policy = AdaptiveCheckpoint(2.0, initial_mtbf_s=10_000.0,
-                                    min_observations=2)
-        for i in range(1, 21):
-            policy.record_failure(i * 200.0)
-        assert policy.mtbf_estimate_s() == pytest.approx(200.0)
-        assert policy.observed_failures == 20
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            AdaptiveCheckpoint(2.0, initial_mtbf_s=0.0)
-        with pytest.raises(ValueError):
-            AdaptiveCheckpoint(2.0, initial_mtbf_s=100.0, min_observations=0)

@@ -13,7 +13,6 @@ from repro.workload import (
     TraceArrivals,
     Workflow,
     WORKLOAD_DOMAINS,
-    generate_bot_workload,
     generate_domain_workload,
     generate_workflow,
     generate_workflow_workload,
@@ -102,9 +101,9 @@ class TestGenerators:
         with pytest.raises(KeyError):
             generate_domain_workload(rng, "nope")
 
-    def test_bot_workload_submit_times_increase(self, rng):
-        bags = generate_bot_workload(rng, n_jobs=20)
-        submits = [b.submit_time for b in bags]
+    def test_domain_workload_submit_times_increase(self, rng):
+        jobs = generate_domain_workload(rng, "synthetic", n_jobs=20)
+        submits = [j.submit_time for j in jobs]
         assert submits == sorted(submits)
 
     def test_bigdata_contains_mapreduce(self, rng):
@@ -133,10 +132,10 @@ class TestGenerators:
 
     def test_estimates_bounded_by_error_factor(self, rng):
         spec = WORKLOAD_DOMAINS["scientific"]
-        bags = generate_bot_workload(rng, n_jobs=10, spec=spec,
-                                     horizon_s=30 * 86400)
-        for bag in bags:
-            for task in bag.tasks:
+        jobs = generate_domain_workload(rng, "scientific", n_jobs=10,
+                                        horizon_s=30 * 86400)
+        for job in jobs:
+            for task in job.tasks:
                 assert task.work <= task.runtime_estimate <= (
                     task.work * spec.estimate_error * 1.0001)
 

@@ -5,8 +5,8 @@ Run from the repository root::
 
     python tools/reach.py --out reach.json
 
-The run takes about 6 minutes on a 2-core VM, 5.5 of them in the
-paper benches. It writes a JSON report with the totals, the unreached
+The run takes about 2.5 minutes on a 2-core VM, about 80 s of them in
+the paper benches. It writes a JSON report with the totals, the unreached
 body lines per package and per file, and the unreached functions. The
 benches rewrite the wall-clock columns of ``benchmarks/results/``, so
 run it on a scratch checkout or restore those files afterwards.
