@@ -7,7 +7,8 @@ hidden global RNG state, no wall clock, events only from the environment,
 resources released on every path. This package makes those obligations
 machine-checked:
 
-- :mod:`repro.analysis.rules` — the per-file AST lint rules SL001–SL006;
+- :mod:`repro.analysis.rules` — the per-file AST lint rules SL001–SL006
+  and SL011;
 - :mod:`repro.analysis.graph` — the project symbol table and call graph
   behind the whole-program rules;
 - :mod:`repro.analysis.layers` — the checked-in architecture manifest

@@ -6,7 +6,7 @@ Usage::
         [--baseline .simlint-baseline] [--no-baseline] [--write-baseline]
         [--rules SL007,SL008] [--prune-baseline]
 
-Every run applies both the per-file rules (SL001–SL006) and the
+Every run applies both the per-file rules (SL001–SL006, SL011) and the
 whole-program rules (SL007–SL010 plus the interprocedural SL001 flow
 pass): the linted files are parsed once into a project call graph, so a
 single file is simply a one-module project.

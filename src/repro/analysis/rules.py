@@ -39,13 +39,19 @@ SL005  iteration over an unordered set
 SL006  float equality on sim time
     ``==``/``!=`` against ``now``. Sim timestamps are accumulated floats;
     use :func:`repro.sim.time_eq` with an explicit epsilon.
+
+SL011  unused module-level import
+    A name bound by a module-level ``import``/``from`` that the module
+    never reads as a name. ``__future__`` imports, ``__init__.py`` files
+    (whose imports are the package's exports) and names listed in
+    ``__all__`` are exempt.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 __all__ = ["Finding", "Rule", "RULES", "lint_source"]
@@ -376,6 +382,46 @@ def _check_sl006(mod: _Module) -> list[Finding]:
     return out
 
 
+# -- SL011: unused module-level imports ------------------------------------
+
+def _module_statements(body: list):
+    """Module-level statements, those under ``if``/``try`` included."""
+    for stmt in body:
+        yield stmt
+        if isinstance(stmt, (ast.If, ast.Try)):
+            nested = stmt.body + stmt.orelse + getattr(stmt, "finalbody", [])
+            for handler in getattr(stmt, "handlers", ()):
+                nested = nested + handler.body
+            yield from _module_statements(nested)
+
+
+def _check_sl011(mod: _Module) -> list[Finding]:
+    if mod.path.rsplit("/", 1)[-1] == "__init__.py":
+        return []
+    read = {node.id for node in ast.walk(mod.tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    out = []
+    for stmt in _module_statements(mod.tree.body):
+        if isinstance(stmt, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in stmt.targets):
+            read |= {node.value for node in ast.walk(stmt.value)
+                     if isinstance(node, ast.Constant)}
+    for stmt in _module_statements(mod.tree.body):
+        if not isinstance(stmt, (ast.Import, ast.ImportFrom)) or (
+                isinstance(stmt, ast.ImportFrom)
+                and stmt.module == "__future__"):
+            continue
+        for alias in stmt.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name != "*" and name not in read:
+                out.append(mod.finding(
+                    "SL011", alias,
+                    f"{name!r} is imported but never used; delete the "
+                    "import"))
+    return out
+
+
 RULES: list[Rule] = [
     Rule("SL001", "global/unseeded RNG use", _check_sl001),
     Rule("SL002", "wall-clock read in sim code", _check_sl002),
@@ -383,6 +429,7 @@ RULES: list[Rule] = [
     Rule("SL004", "resource acquire without guaranteed release", _check_sl004),
     Rule("SL005", "iteration over an unordered set", _check_sl005),
     Rule("SL006", "float equality on sim time", _check_sl006),
+    Rule("SL011", "unused module-level import", _check_sl011),
 ]
 
 

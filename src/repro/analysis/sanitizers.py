@@ -316,13 +316,13 @@ class SharedStateSanitizer:
         # Event -> snapshot of the scheduler's knowledge at schedule time.
         self._snapshots: weakref.WeakKeyDictionary = \
             weakref.WeakKeyDictionary()
-        self._prev_hook = env._on_schedule
-        env._on_schedule = self._note_schedule
+        self._prev_hook = env._schedule_hook
+        env._schedule_hook = self._note_schedule
 
     def close(self) -> None:
         """Uninstall the kernel scheduling hook (idempotent)."""
-        if self.env._on_schedule == self._note_schedule:
-            self.env._on_schedule = self._prev_hook
+        if self.env._schedule_hook == self._note_schedule:
+            self.env._schedule_hook = self._prev_hook
 
     def __enter__(self) -> "SharedStateSanitizer":
         return self

@@ -16,12 +16,11 @@ the paper's authors back to their real-world results.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.autoscaling.autoscalers import Autoscaler
 from repro.autoscaling.experiment import (
-    AutoscalingResult,
     ExperimentConfig,
     run_autoscaling_experiment,
 )

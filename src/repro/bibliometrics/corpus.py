@@ -12,7 +12,7 @@ Calibration targets (from the paper's Figures 1–2 narrative):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np

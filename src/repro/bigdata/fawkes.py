@@ -9,7 +9,7 @@ split against the dynamic balancer on imbalanced workloads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np

@@ -21,7 +21,6 @@ import numpy as np
 from repro.bigdata.mapreduce import (
     MRCluster,
     MRSimulator,
-    RESOURCE_CLASSES,
     generate_mr_jobs,
 )
 

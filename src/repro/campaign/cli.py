@@ -70,9 +70,13 @@ def _cmd_run(args) -> int:
             raise SystemExit(f"unknown world {world!r}; known: {WORLDS}")
     envelopes = None
     if args.budget is not None:
-        envelopes = tuple(
-            ScheduleEnvelope.for_world(world, sim_budget_s=args.budget)
-            for world in worlds)
+        try:
+            envelopes = tuple(
+                ScheduleEnvelope.for_world(world, sim_budget_s=args.budget)
+                for world in worlds)
+        except ValueError as err:
+            print(f"error: --budget: {err}", file=sys.stderr)
+            return 2
     config = CampaignConfig(
         root_seed=args.seed,
         n_schedules=args.schedules,

@@ -72,8 +72,9 @@ class FaultSchedule:
         if self.world not in WORLDS:
             raise ValueError(f"unknown world {self.world!r}; "
                              f"known: {WORLDS}")
-        if self.sim_budget_s <= 0:
-            raise ValueError("sim_budget_s must be positive")
+        if not self.sim_budget_s > 0:  # NaN included
+            raise ValueError(
+                f"sim_budget_s must be positive, got {self.sim_budget_s}")
         allowed = KINDS_BY_WORLD[self.world]
         for episode in self.episodes:
             if episode.kind not in allowed:
@@ -159,6 +160,19 @@ class ScheduleEnvelope:
             raise ValueError(f"unknown world {self.world!r}")
         if self.max_episodes < 1:
             raise ValueError("max_episodes must be >= 1")
+        for name in ("horizon_s", "sim_budget_s"):
+            value = getattr(self, name)
+            if not value > 0:  # NaN included
+                raise ValueError(f"{name} must be positive, got {value}")
+        for lo, hi in (("min_duration_s", "max_duration_s"),
+                       ("min_crash_outage_s", "max_crash_outage_s"),
+                       ("min_loss_rate", "max_loss_rate"),
+                       ("min_overload_factor", "max_overload_factor"),
+                       ("min_burst_fraction", "max_burst_fraction")):
+            low, high = getattr(self, lo), getattr(self, hi)
+            if not 0 <= low <= high:  # NaN included
+                raise ValueError(
+                    f"need 0 <= {lo} <= {hi}, got {low} and {high}")
         allowed = KINDS_BY_WORLD[self.world]
         for kind, weight in self.kind_weights:
             if kind not in allowed:

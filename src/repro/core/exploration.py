@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.space import Candidate, DesignProblem, DesignSpace
+from repro.core.space import Candidate, DesignProblem
 
 
 @dataclass

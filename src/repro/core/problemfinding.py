@@ -14,7 +14,7 @@ Two of the framework's problem-finding methods, made executable:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from repro.core.catalog import PROBLEM_ARCHETYPES, PROBLEM_SOURCES
 from repro.core.space import Candidate, DesignSpace

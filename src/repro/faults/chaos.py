@@ -76,7 +76,6 @@ def run_serverless_scenario(seed: int = 0, error_rate: float = 0.0,
                             n_invocations: int = 300,
                             rate_per_s: float = 2.0,
                             runtime_s: float = 0.5,
-                            slo_s: float = 2.5,
                             tracer=None, registry=None) -> dict:
     """Open-loop Poisson traffic against a FaaS platform whose invocations
     fail transiently; the platform may retry with exponential backoff."""
@@ -106,7 +105,7 @@ def run_serverless_scenario(seed: int = 0, error_rate: float = 0.0,
     env.run(until=n_invocations / rate_per_s + 120.0)
     monitor = platform.monitor
     return {
-        "slo_attainment": platform.slo_attainment(slo_s, "f"),
+        "slo_attainment": platform.slo_attainment(2.5, "f"),
         "availability": 1.0 - platform.failure_fraction("f"),
         "invocations": len(platform.invocations),
         "completed": len(platform.completed("f")),
@@ -124,30 +123,24 @@ def run_overload_scenario(seed: int = 0, admission: bool = False,
                           n_invocations: int = 600,
                           rate_per_s: float = 50.0,
                           runtime_s: float = 0.2,
-                          concurrency_limit: int = 8,
-                          queue_capacity: int = 64,
-                          admit_rate_per_s: float = 36.0,
-                          admit_burst: float = 16.0,
-                          slo_s: float = 1.0,
                           tracer=None, registry=None) -> dict:
     """A flash crowd against a capacity-capped FaaS platform.
 
-    Offered load (``rate_per_s``) exceeds capacity
-    (``concurrency_limit / runtime_s``). Without admission the bounded
-    queue fills, every admitted request marinates behind it, and the tail
-    collapses; with admission the token bucket sheds the excess at the
-    front door, the CoDel shedder drops requests that already waited past
-    the delay target, and the brownout controller stops paying for cold
-    starts under pressure — so the requests that *are* served finish on
-    time. Goodput here is SLO-goodput: completions within ``slo_s`` per
-    second of simulated time.
+    Offered load (``rate_per_s``) exceeds capacity (8 concurrent slots,
+    ``8 / runtime_s`` per second). Without admission the 64-slot queue
+    fills, every admitted request marinates behind it, and the tail
+    collapses; with admission a token bucket (36/s, burst 16) sheds the
+    excess at the front door, the CoDel shedder drops requests that
+    already waited past the delay target, and the brownout controller
+    stops paying for cold starts under pressure — so the requests that
+    *are* served finish on time. Goodput here is SLO-goodput: completions
+    within the 1 s SLO per second of simulated time.
     """
     streams = RandomStreams(seed)
     env = Environment()
     admitter = shedder = brownout = None
     if admission:
-        admitter = TokenBucketAdmitter(env, rate_per_s=admit_rate_per_s,
-                                       burst=admit_burst)
+        admitter = TokenBucketAdmitter(env, rate_per_s=36.0, burst=16.0)
         shedder = CoDelShedder(env, target_s=0.15, interval_s=1.0)
         # Pressure scale (see FaaSPlatform.pressure): <1 is utilization,
         # >1 is 1 + head-of-queue delay in seconds.
@@ -158,9 +151,7 @@ def run_overload_scenario(seed: int = 0, admission: bool = False,
     platform = FaaSPlatform(
         env,
         PlatformConfig(cold_start_s=0.25, keep_alive_s=600.0,
-                       concurrency_limit=concurrency_limit,
-                       prewarmed=concurrency_limit,
-                       queue_capacity=queue_capacity),
+                       concurrency_limit=8, prewarmed=8, queue_capacity=64),
         admitter=admitter, shedder=shedder, brownout=brownout,
         tracer=tracer, registry=registry)
     platform.deploy(FunctionSpec("f", runtime_s=runtime_s, memory_gb=0.5))
@@ -178,9 +169,9 @@ def run_overload_scenario(seed: int = 0, admission: bool = False,
         brownout.finish(env.now)
     completed = platform.completed("f")
     latencies = sorted(i.latency for i in completed)
-    in_slo = sum(1 for lat in latencies if lat <= slo_s)
+    in_slo = sum(1 for lat in latencies if lat <= 1.0)
     result = {
-        "slo_attainment": platform.slo_attainment(slo_s, "f"),
+        "slo_attainment": platform.slo_attainment(1.0, "f"),
         "availability": 1.0 - platform.failure_fraction("f"),
         "invocations": len(platform.invocations),
         "completed": len(completed),
@@ -207,8 +198,6 @@ def run_overload_scenario(seed: int = 0, admission: bool = False,
 def run_detection_scenario(seed: int = 0, crash: bool = True,
                            crash_at_s: float = 30.0,
                            n_machines: int = 6,
-                           heartbeat_interval_s: float = 1.0,
-                           threshold: float = 8.0,
                            duration_s: float = 90.0) -> dict:
     """Heartbeat-monitored machines, one of which may crash silently.
 
@@ -220,14 +209,12 @@ def run_detection_scenario(seed: int = 0, crash: bool = True,
     """
     streams = RandomStreams(seed)
     env = Environment()
-    detector = PhiAccrualDetector(env, threshold=threshold,
-                                  poll_interval_s=0.5)
+    detector = PhiAccrualDetector(env, threshold=8.0, poll_interval_s=0.5)
     up: dict[str, bool] = {f"m{i}": True for i in range(n_machines)}
     emitters = {}
     for name in sorted(up):
         emitters[name] = HeartbeatEmitter(
-            env, detector, name, heartbeat_interval_s,
-            rng=streams.get(f"hb-{name}"),
+            env, detector, name, 1.0, rng=streams.get(f"hb-{name}"),
             is_up=lambda name=name: up[name])
 
     def crasher(env):
@@ -258,7 +245,6 @@ def run_scheduling_scenario(seed: int = 0, mtbf_s: Optional[float] = None,
                             n_tasks: int = 120,
                             n_machines: int = 8,
                             health_aware: bool = False,
-                            heartbeat_interval_s: float = 1.0,
                             tracer=None, registry=None) -> dict:
     """A bag of tasks on a crashing cluster. Without requeue, work killed
     by a crash is lost (goodput drops); with requeue it restarts elsewhere.
@@ -280,8 +266,7 @@ def run_scheduling_scenario(seed: int = 0, mtbf_s: Optional[float] = None,
         detector = PhiAccrualDetector(env, threshold=8.0,
                                       poll_interval_s=0.5)
         for machine in cluster.machines:
-            HeartbeatEmitter(env, detector, machine.name,
-                             heartbeat_interval_s,
+            HeartbeatEmitter(env, detector, machine.name, 1.0,
                              rng=streams.get(f"hb-{machine.name}"),
                              is_up=lambda m=machine: m.is_up)
     sim = ClusterSimulator(env, cluster, FCFSPolicy(),
@@ -332,7 +317,6 @@ def run_recovery_scenario(seed: int = 0, policy: str = "daly",
                           interval_s: Optional[float] = None,
                           corruption_p: float = 0.0,
                           restart_cost_s: float = 2.0,
-                          keep_last: int = 3,
                           tracer=None, registry=None) -> dict:
     """One long job under ``CrashRestart``, with a checkpoint policy on/off.
 
@@ -351,7 +335,7 @@ def run_recovery_scenario(seed: int = 0, policy: str = "daly",
     crash_rng = streams.get("recovery-crash")
     if policy != "none":
         store = CheckpointStore(
-            env, tier=tier, keep_last=keep_last,
+            env, tier=tier, keep_last=3,
             corruption_p=corruption_p,
             rng=streams.get("ckpt-corruption") if corruption_p > 0 else None)
         cost_s = store.write_time_s(checkpoint_size_mb)
@@ -397,21 +381,33 @@ def run_recovery_scenario(seed: int = 0, policy: str = "daly",
     }
 
 
-def run_scheduler_recovery_scenario(seed: int = 0,
-                                    journaled: bool = True,
-                                    n_tasks: int = 80,
-                                    n_machines: int = 6,
-                                    crash_at_s: float = 40.0,
-                                    outage_s: float = 60.0,
-                                    machine_mtbf_s: Optional[float] = 150.0,
-                                    machine_mttr_s: float = 30.0) -> dict:
+def _scheduler_crashes(env: Environment, sim: ClusterSimulator,
+                       crashes: Iterable[Episode]):
+    """Process body: fail-stop ``sim``'s scheduler for each crash episode,
+    then recover it by journal; a crash that finds the work all done or
+    the scheduler already down is skipped."""
+    for e in crashes:
+        if e.start_s > env.now:
+            yield env.timeout(e.start_s - env.now)
+        if sim.all_done or sim.crashed:
+            continue
+        sim.crash_scheduler()
+        yield env.timeout(e.duration_s)
+        yield from sim.recover_scheduler()
+
+
+def run_scheduler_recovery_scenario(
+        seed: int = 0, journaled: bool = True, n_tasks: int = 80,
+        n_machines: int = 6,
+        machine_mtbf_s: Optional[float] = 150.0) -> dict:
     """The scheduler itself fail-stops mid-schedule and recovers by journal.
 
-    During the outage, machines keep executing: completions pile up
-    unreported, and machine-crash victims are orphaned with nobody to
-    requeue them. Recovery replays the journal, reconciles believed vs.
-    actual cluster state, re-adopts surviving dispatches, credits every
-    completion, and requeues the orphans — zero completed tasks lost.
+    With ``journaled``, the scheduler is down from 40 s to 100 s. During
+    the outage, machines keep executing: completions pile up unreported,
+    and machine-crash victims are orphaned with nobody to requeue them.
+    Recovery replays the journal, reconciles believed vs. actual cluster
+    state, re-adopts surviving dispatches, credits every completion, and
+    requeues the orphans — zero completed tasks lost.
     """
     streams = RandomStreams(seed)
     env = Environment()
@@ -428,19 +424,13 @@ def run_scheduler_recovery_scenario(seed: int = 0,
     if machine_mtbf_s is not None:
         injector = FailureInjector(
             env, cluster, streams.get("machine-failures"),
-            mtbf_s=machine_mtbf_s, mttr_s=machine_mttr_s,
+            mtbf_s=machine_mtbf_s, mttr_s=30.0,
             on_failure=sim.handle_machine_failure)
         injector.on_repair = sim.handle_machine_repair
     sim.submit_jobs([BagOfTasks(tasks)])
-
-    def outage(env):
-        yield env.timeout(crash_at_s)
-        sim.crash_scheduler()
-        yield env.timeout(outage_s)
-        yield from sim.recover_scheduler()
-
     if journaled:
-        env.process(outage(env))
+        env.process(_scheduler_crashes(
+            env, sim, [Episode("crash", 40.0, 100.0)]))
     env.run(until=sim._scheduler)
     metrics = sim.metrics()
     return {
@@ -776,16 +766,6 @@ def run_partition_scenario(seed: int = 0,
             halt=invariant_halt, seed=seed,
             monitor=Monitor(env, registry=registry, namespace="invariants"))
 
-    def outage(env):
-        for e in plan["crash"]:
-            if e.start_s > env.now:
-                yield env.timeout(e.start_s - env.now)
-            if sim.all_done or sim.crashed:
-                continue
-            sim.crash_scheduler()
-            yield env.timeout(e.duration_s)
-            yield from sim.recover_scheduler()
-
     scaled: list[Machine] = []
 
     def autoscaler(env):
@@ -806,7 +786,7 @@ def run_partition_scenario(seed: int = 0,
     env.process(_arrivals(env, streams.get("invoke-arrivals"),
                           n_invocations, invoke_rate_per_s, plan["overload"],
                           lambda: platform.invoke("f")))
-    env.process(outage(env))
+    env.process(_scheduler_crashes(env, sim, plan["crash"]))
     env.process(autoscaler(env))
 
     if sim_budget_s is None:

@@ -8,7 +8,7 @@ consume — the quantities Granula breaks performance down into.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 import networkx as nx

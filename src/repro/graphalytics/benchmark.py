@@ -9,10 +9,7 @@ rankings flip across (A, D) cells.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Optional, Sequence
-
-import numpy as np
 
 from repro.graphalytics.datasets import make_dataset
 from repro.graphalytics.platforms import PLATFORMS, Platform, PlatformRun

@@ -15,7 +15,7 @@ so it works for platforms whose true cost model is unknown.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 

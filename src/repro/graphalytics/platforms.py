@@ -20,7 +20,7 @@ property, platform rankings flip across the PAD grid — the PAD law.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 import networkx as nx

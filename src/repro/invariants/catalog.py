@@ -12,7 +12,7 @@ admission decisions is active.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.invariants.laws import ConservationLaw, Term, counter_term
 

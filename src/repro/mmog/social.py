@@ -8,7 +8,7 @@ and use graph proximity for matchmaking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import networkx as nx
 import numpy as np

@@ -8,10 +8,8 @@ floor), which the paper's group found to be far below vendor claims.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import numpy as np
 
 from repro.mmog.world import PlayerSession, Zone
 

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.sim.registry import MetricsRegistry
 from repro.observability.trace import Tracer
 

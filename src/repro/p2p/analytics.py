@@ -11,7 +11,7 @@ Implements the analyses behind the Table 5 studies:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np

@@ -32,6 +32,12 @@ from repro.replication.shipping import JournalReplicator
 from repro.resilience.detection import PhiAccrualDetector
 from repro.sim import Environment, Monitor, Network, RandomStreams
 
+#: A deposed leader that still believes it leads sends a stale dispatch
+#: to each of the first ``PROBE_BATCH`` machines every
+#: ``PROBE_INTERVAL_S`` seconds.
+PROBE_INTERVAL_S = 2.0
+PROBE_BATCH = 3
+
 
 class ReplicatedControlPlane:
     """Hot-standby replication for a journaled scheduler brain."""
@@ -42,8 +48,6 @@ class ReplicatedControlPlane:
                  renew_interval_s: float = 1.0,
                  ship_interval_s: float = 0.5,
                  takeover_cost_s: float = 0.5,
-                 probe_interval_s: float = 2.0,
-                 probe_batch: int = 3,
                  detector: Optional[PhiAccrualDetector] = None,
                  monitor: Optional[Monitor] = None,
                  tracer=None,
@@ -62,8 +66,6 @@ class ReplicatedControlPlane:
         self.monitor = Monitor(env) if monitor is None else monitor
         self.tracer = tracer
         self.takeover_cost_s = takeover_cost_s
-        self.probe_interval_s = probe_interval_s
-        self.probe_batch = probe_batch
         #: ``False`` is a deliberately plantable bug knob (for fault-
         #: injection campaigns): promotion skips the machine fence
         #: broadcasts, so a deposed leader's stale writes are *accepted*
@@ -174,7 +176,7 @@ class ReplicatedControlPlane:
         """
         term = self.election.term_of(old)
         machines = [m.name for m in self.scheduler.cluster.machines]
-        targets = machines[:self.probe_batch]
+        targets = machines[:PROBE_BATCH]
         while self.election.believes_leader(old):
             rejections = []
             for target in targets:
@@ -183,7 +185,7 @@ class ReplicatedControlPlane:
                     deliver=lambda m=target, t=term:
                         self._stale_probe(m, t, rejections),
                     kind="dispatch")
-            yield self.env.timeout(self.probe_interval_s)
+            yield self.env.timeout(PROBE_INTERVAL_S)
             if rejections:
                 self.election.depose(old)
                 self.deposed_at[old] = self.env.now

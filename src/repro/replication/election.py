@@ -33,11 +33,20 @@ from typing import Callable, Iterable, Optional
 from repro.resilience.detection import PhiAccrualDetector
 from repro.sim import Environment, Monitor, Network, RandomStreams
 
+#: The boot leader's term.
+INITIAL_TERM = 1
+#: A candidate waits ``uniform(0, CAMPAIGN_SPREAD_S)`` before campaigning.
+CAMPAIGN_SPREAD_S = 1.5
+#: How long a candidate collects votes before counting them.
+ELECTION_ROUND_S = 0.2
+#: A lost candidacy backs off ``RETRY_BACKOFF_S * uniform(0.5, 1.5)``.
+RETRY_BACKOFF_S = 1.5
+
 
 class LeaseElection:
     """Term-numbered leases with majority grants and phi-driven campaigns.
 
-    ``nodes[0]`` starts as the leader of ``initial_term`` — a replicated
+    ``nodes[0]`` starts as the leader of :data:`INITIAL_TERM` — a replicated
     control plane boots with a known primary, not a cold election.
 
     Parameters
@@ -59,10 +68,6 @@ class LeaseElection:
                  lease_ttl_s: float = 4.0,
                  renew_interval_s: float = 1.0,
                  poll_interval_s: float = 0.25,
-                 campaign_spread_s: float = 1.5,
-                 election_round_s: float = 0.2,
-                 retry_backoff_s: float = 1.5,
-                 initial_term: int = 1,
                  monitor: Optional[Monitor] = None,
                  tracer=None,
                  on_promote: Optional[Callable[[str, int], None]] = None):
@@ -77,9 +82,6 @@ class LeaseElection:
         self.lease_ttl_s = lease_ttl_s
         self.renew_interval_s = renew_interval_s
         self.poll_interval_s = poll_interval_s
-        self.campaign_spread_s = campaign_spread_s
-        self.election_round_s = election_round_s
-        self.retry_backoff_s = retry_backoff_s
         self.monitor = Monitor(env) if monitor is None else monitor
         self.tracer = tracer
         self.on_promote = on_promote
@@ -87,10 +89,10 @@ class LeaseElection:
         leader = self.nodes[0]
         self._role = {n: ("leader" if n == leader else "standby")
                       for n in self.nodes}
-        self._term = {n: initial_term for n in self.nodes}
+        self._term = {n: INITIAL_TERM for n in self.nodes}
         self._believed_leader = {n: leader for n in self.nodes}
         self._last_heard = {n: env.now for n in self.nodes}
-        self._granted = {n: initial_term for n in self.nodes}
+        self._granted = {n: INITIAL_TERM for n in self.nodes}
         #: Term a candidacy is proposing. ``_term`` only moves to it on a
         #: win (pre-vote style): a partitioned node that campaigns in
         #: vain must not inflate its own term, or it would reject the
@@ -108,7 +110,7 @@ class LeaseElection:
         #: ``{term: winner}`` — ``setdefault`` only, so a double win at
         #: one term shows up as ``promotions > len(leaders_by_term)`` and
         #: trips the ``at_most_one_leader_per_term`` law.
-        self.leaders_by_term = {initial_term: leader}
+        self.leaders_by_term = {INITIAL_TERM: leader}
         #: An int: it counts the boot leader, which the counter does not.
         self.promotions = 1
 
@@ -240,7 +242,7 @@ class LeaseElection:
         # Jittered candidacy delay: the deterministic tie-breaker. Two
         # standbys that detect the same death campaign at different
         # times, so the first one normally wins before the second tries.
-        yield self.env.timeout(float(rng.uniform(0.0, self.campaign_spread_s)))
+        yield self.env.timeout(float(rng.uniform(0.0, CAMPAIGN_SPREAD_S)))
         if not self._needs_election(node):
             return  # a leader announced itself while we hesitated
         term = max(self._term[node], self._granted[node]) + 1
@@ -261,7 +263,7 @@ class LeaseElection:
                 deliver=lambda p=peer, t=term: self._receive_vote_request(
                     p, node, t),
                 kind="vote_req")
-        yield self.env.timeout(self.election_round_s)
+        yield self.env.timeout(ELECTION_ROUND_S)
         if self._role[node] != "candidate" or self._proposal[node] != term:
             # A renewal or a deny landed mid-round and stood us down.
             if span is not None:
@@ -275,8 +277,7 @@ class LeaseElection:
         if span is not None:
             self.tracer.end_span(span, status="lost")
         self._role[node] = "standby"
-        yield self.env.timeout(
-            self.retry_backoff_s * (0.5 + float(rng.random())))
+        yield self.env.timeout(RETRY_BACKOFF_S * (0.5 + float(rng.random())))
 
     def _receive_vote_request(self, peer: str, candidate: str,
                               term: int) -> None:

@@ -16,7 +16,7 @@ the chaos harness reports.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Optional
+from typing import Callable
 
 
 class ServiceMode(enum.Enum):

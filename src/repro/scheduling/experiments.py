@@ -10,14 +10,12 @@ size, speed mix, and heterogeneity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
-
-import numpy as np
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.machine import Machine
-from repro.scheduling.policies import POLICIES, make_policy
+from repro.scheduling.policies import make_policy
 from repro.scheduling.portfolio import (
     PortfolioConfig,
     PortfolioScheduler,

@@ -8,8 +8,7 @@ time, bounded slowdown, makespan, and utilization.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -23,6 +22,8 @@ from repro.workload.task import BagOfTasks, Task, TaskState, Workflow
 
 #: Bounded-slowdown runtime floor (the standard 10-second bound).
 SLOWDOWN_BOUND_S = 10.0
+#: How long a lost dispatch sits in limbo before it is requeued.
+DISPATCH_TIMEOUT_S = 5.0
 
 Job = Union[BagOfTasks, Workflow]
 
@@ -73,25 +74,22 @@ class ClusterSimulator:
     """
 
     def __init__(self, env: Environment, cluster: Cluster, policy: Policy,
-                 monitor: Optional[Monitor] = None,
                  failure_mode: str = "requeue",
-                 health=None, dispatch_timeout_s: float = 5.0,
+                 health=None,
                  journal: Optional[Journal] = None,
                  scheduler_restart_cost_s: float = 1.0,
                  tracer=None, registry=None,
                  network=None, node_name: str = "scheduler",
                  report_retry_s: float = 2.0,
                  report_retry: bool = True,
-                 service_time_factor=None,
-                 fencing=None):
+                 service_time_factor=None):
         if failure_mode not in ("requeue", "drop"):
             raise ValueError(
                 f"failure_mode must be 'requeue' or 'drop', got {failure_mode!r}")
         self.env = env
         self.cluster = cluster
         self.policy = policy
-        self.monitor = monitor or Monitor(env, registry=registry,
-                                          namespace="scheduling")
+        self.monitor = Monitor(env, registry=registry, namespace="scheduling")
         #: Optional :class:`~repro.observability.Tracer`: every dispatch
         #: becomes a ``scheduling.task`` span (status ok / killed / dropped
         #: / misdispatch).
@@ -106,9 +104,9 @@ class ClusterSimulator:
         #: cluster's ground-truth machine state: it places tasks from its
         #: own bookkeeping, skips suspected machines, and a dispatch to a
         #: dead-but-not-yet-suspected machine is lost for
-        #: ``dispatch_timeout_s`` before being requeued (a *misdispatch*).
+        #: :data:`DISPATCH_TIMEOUT_S` before being requeued (a
+        #: *misdispatch*).
         self.health = health
-        self.dispatch_timeout_s = dispatch_timeout_s
         #: Tasks dispatched to machines that were already dead.
         self._limbo: dict[int, tuple] = {}
         #: What happens to tasks killed by a machine crash: "requeue"
@@ -177,13 +175,13 @@ class ClusterSimulator:
         #: (``lambda m: gray.service_factor(m.name)``).
         self.service_time_factor = service_time_factor
         #: Optional :class:`~repro.replication.fencing.FencingGate` (duck-
-        #: typed): with one, every dispatch carries the control plane's
-        #: term token and is admitted machine-side against the fenced
-        #: floor, and every completion report carries the machine's
-        #: witnessed floor and is admitted brain-side against the current
-        #: term. ``None`` (the default) keeps both hops token-free — the
-        #: single-brain behavior, unchanged.
-        self.fencing = fencing
+        #: typed), installed by a replicated control plane: with one,
+        #: every dispatch carries the control plane's term token and is
+        #: admitted machine-side against the fenced floor, and every
+        #: completion report carries the machine's witnessed floor and is
+        #: admitted brain-side against the current term. ``None`` keeps
+        #: both hops token-free — the single-brain behavior, unchanged.
+        self.fencing = None
         if network is not None:
             network.add_node(node_name)
             for machine in cluster.machines:
@@ -447,11 +445,7 @@ class ClusterSimulator:
                 # From the scheduler's seat this is indistinguishable from
                 # dispatching to a dead machine: the task sits in limbo
                 # until the dispatch timeout requeues it.
-                task.state = TaskState.RUNNING
-                self._limbo[task.task_id] = (task, machine)
-                self.monitor.record("queue_length", len(self.ready))
-                self._span_start(task, machine)
-                self.env.process(self._misdispatch(task))
+                self._lose_dispatch(task, machine)
                 return
             if not admitted:
                 # The machine's fenced floor outranks our token: a deposed
@@ -459,21 +453,13 @@ class ClusterSimulator:
                 # dispatch timeout paces the retry exactly like a
                 # misdispatch (an instant requeue would spin the loop).
                 self.monitor.count("fenced_dispatches")
-                task.state = TaskState.RUNNING
-                self._limbo[task.task_id] = (task, machine)
-                self.monitor.record("queue_length", len(self.ready))
-                self._span_start(task, machine)
-                self.env.process(self._misdispatch(task))
+                self._lose_dispatch(task, machine)
                 return
         if self.health is not None and not machine.is_up:
             # The detector has not suspected this machine yet, so the
             # scheduler believes it alive; the dispatch lands on a dead box
             # and is simply lost until the dispatch timeout notices.
-            task.state = TaskState.RUNNING
-            self._limbo[task.task_id] = (task, machine)
-            self.monitor.record("queue_length", len(self.ready))
-            self._span_start(task, machine)
-            self.env.process(self._misdispatch(task))
+            self._lose_dispatch(task, machine)
             return
         machine.allocate(task.cores, task.memory_gb)
         task.state = TaskState.RUNNING
@@ -485,9 +471,18 @@ class ClusterSimulator:
         self._procs[task.task_id] = self.env.process(
             self._execute(task, machine))
 
+    def _lose_dispatch(self, task: Task, machine: Machine) -> None:
+        """Send ``task`` to limbo: it looks running to the scheduler
+        until the dispatch timeout requeues it."""
+        task.state = TaskState.RUNNING
+        self._limbo[task.task_id] = (task, machine)
+        self.monitor.record("queue_length", len(self.ready))
+        self._span_start(task, machine)
+        self.env.process(self._misdispatch(task))
+
     def _misdispatch(self, task: Task):
         """A dispatch to a dead machine times out and requeues the task."""
-        yield self.env.timeout(self.dispatch_timeout_s)
+        yield self.env.timeout(DISPATCH_TIMEOUT_S)
         self._limbo.pop(task.task_id, None)
         self.monitor.count("misdispatches")
         self._span_end(task, "misdispatch")

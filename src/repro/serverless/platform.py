@@ -9,7 +9,7 @@ start) and are reaped after an idle keep-alive window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 from typing import Optional
 

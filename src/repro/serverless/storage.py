@@ -14,7 +14,7 @@ cost/performance comparison that is the papers' headline result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 
 @dataclass(frozen=True)

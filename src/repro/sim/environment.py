@@ -13,11 +13,10 @@ Both tiers halt by one rule: only a finite ``until`` time stops a run
 short of a queued event (events at or after it stay queued); any other
 run dispatches everything queued, events at ``t = inf`` included.
 
-Which tier runs is decided per dispatch by a one-cell "live" flag kept
-current by every hook mutator (``add_tracer``/``remove_tracer``, the
-``tracer``/``profiler``/``debug``/``_on_schedule`` setters), so
-installing a tracer mid-run takes effect on the next dispatch and
-removing the last one restores the zero-overhead loop.
+Which tier runs is decided once per :meth:`Environment.run`, at entry,
+from the hooks installed at that point (tracers, the profiler, debug
+mode, the scheduling hook): a hook installed while a run is under way
+takes effect from the next ``run()``.
 
 Queue entries are mutable lists ``[time, priority, eid, obj, remaining,
 period]`` rather than tuples so the ticker fast path (see
@@ -99,7 +98,7 @@ class Environment:
     # access dict-free (class attributes above are unaffected by slots).
     __slots__ = ("_now", "_queue", "_eid", "_active_process", "_debug",
                  "_tracers", "_profiler", "dispatch_count", "_current_event",
-                 "_schedule_hook", "_live")
+                 "_schedule_hook")
 
     def __init__(self, initial_time: float = 0.0, debug: bool = False):
         self._now = float(initial_time)
@@ -125,73 +124,15 @@ class Environment:
         #: Optional hook called as ``fn(event)`` whenever an event is
         #: scheduled (see :class:`repro.analysis.SharedStateSanitizer`).
         self._schedule_hook: Optional[Callable[[Event], None]] = None
-        #: One-cell instrumentation flag, pre-bound as a local by the run
-        #: loop. ``_live[0]`` is True iff any dispatch-time hook (tracer,
-        #: profiler, debug invariants, scheduling hook) is installed —
-        #: every hook mutator keeps it current via
-        #: :meth:`_refresh_instrumentation`, so a mid-run ``add_tracer``
-        #: is honored on the very next dispatch.
-        self._live = [False]
-        self._refresh_instrumentation()
-
-    def _refresh_instrumentation(self) -> None:
-        """Recompute the live flag after any hook change."""
-        self._live[0] = bool(
-            self._tracers
-            or self._profiler is not None
-            or self._schedule_hook is not None
-            or self._debug)
-
-    @property
-    def _instrumented(self) -> bool:
-        """Whether dispatch currently routes through :meth:`step`."""
-        return self._live[0]
-
-    @property
-    def debug(self) -> bool:
-        return self._debug
-
-    @debug.setter
-    def debug(self, enabled: bool) -> None:
-        self._debug = bool(enabled)
-        self._refresh_instrumentation()
-
-    @property
-    def profiler(self):
-        return self._profiler
-
-    @profiler.setter
-    def profiler(self, profiler) -> None:
-        self._profiler = profiler
-        self._refresh_instrumentation()
-
-    @property
-    def _on_schedule(self) -> Optional[Callable[[Event], None]]:
-        return self._schedule_hook
-
-    @_on_schedule.setter
-    def _on_schedule(self, fn: Optional[Callable[[Event], None]]) -> None:
-        self._schedule_hook = fn
-        self._refresh_instrumentation()
-
-    @property
-    def tracer(self) -> Optional[Callable[[float, int, str], None]]:
-        """The first installed tracer (back-compat single-hook view)."""
-        return self._tracers[0] if self._tracers else None
-
-    @tracer.setter
-    def tracer(self, fn: Optional[Callable[[float, int, str], None]]):
-        self._tracers = [fn] if fn is not None else []
-        self._refresh_instrumentation()
 
     def add_tracer(self, fn: Callable[[float, int, str], None]) -> None:
-        """Subscribe ``fn`` to every dispatched event (additive)."""
-        self._tracers.append(fn)
-        self._refresh_instrumentation()
+        """Subscribe ``fn`` to every dispatched event (additive).
 
-    def remove_tracer(self, fn: Callable[[float, int, str], None]) -> None:
-        self._tracers.remove(fn)
-        self._refresh_instrumentation()
+        Install it before :meth:`run`: the run loop picks its tier once,
+        at entry, so a tracer added during a fast-tier run sees nothing
+        until the next ``run()``.
+        """
+        self._tracers.append(fn)
 
     @classmethod
     @contextmanager
@@ -297,8 +238,8 @@ class Environment:
 
         This is the instrumented dispatch tier: it feeds tracers, the
         profiler, debug invariants, and ``_current_event``. The run loop
-        only routes through here while a hook is installed; manual
-        stepping always uses it (the overhead is irrelevant off the hot
+        routes through here only when a hook is installed as it starts;
+        manual stepping always uses it (the overhead is irrelevant off the hot
         loop, and behavior is identical either way).
         """
         queue = self._queue
@@ -392,17 +333,14 @@ class Environment:
                     f"until ({stop_at}) must be greater than now ({self._now})")
             bounded = stop_at != float("inf")
 
-        # Hot loops: everything touched per dispatch is pre-bound to a
-        # local. Hooks change only in user code, and none runs on a
-        # mid-batch tick, so the fast loop re-reads ``live[0]`` only
-        # after a generator resume or an event's callbacks: a tracer that
-        # a callback installs still moves the very next dispatch onto the
-        # instrumented tier, with no per-tick flag check. Both loops halt
-        # on ``t >= stop_at and bounded``; unbounded, ``stop_at`` is inf,
-        # so ``bounded`` is read only for an event at inf, which such a
-        # run dispatches.
+        # The tier is fixed for the whole run. Hot loops: everything
+        # touched per dispatch is pre-bound to a local. Both loops halt on
+        # ``t >= stop_at and bounded``; unbounded, ``stop_at`` is inf, so
+        # ``bounded`` is read only for an event at inf, which such a run
+        # dispatches.
         queue = self._queue
-        live = self._live
+        instrumented = bool(self._tracers or self._profiler is not None
+                            or self._schedule_hook is not None or self._debug)
         step = self.step
         ticker_cls = Ticker
         resched = _reschedule_ticker
@@ -413,20 +351,15 @@ class Environment:
         normal = _NORMAL
         dispatches = 0
         t = self._now
-        halted = False
         try:
-            while queue and not halted:
-                if live[0]:
-                    # -- instrumented tier: every dispatch via step().
-                    while queue:
-                        t = queue[0][0]
-                        if t >= stop_at and bounded:
-                            halted = True
-                            break
-                        step()
-                        if not live[0]:
-                            break
-                    continue
+            if instrumented:
+                # -- instrumented tier: every dispatch via step().
+                while queue:
+                    t = queue[0][0]
+                    if t >= stop_at and bounded:
+                        break
+                    step()
+            elif queue:
                 # -- fast tier. ``while True``: a mid-batch tick never
                 # changes the queue size, so emptiness is re-checked only
                 # after dispatches that can pop (the user-code exits).
@@ -434,7 +367,6 @@ class Environment:
                     entry = queue[0]
                     t = entry[0]
                     if t >= stop_at and bounded:
-                        halted = True
                         break
                     dispatches += 1
                     remaining = entry[4]
@@ -475,7 +407,7 @@ class Environment:
                                     push(queue, entry)
                             else:
                                 resched(queue, entry, obj, t, d)
-                        if live[0] or not queue:
+                        if not queue:
                             break
                         continue
                     self._now = t
@@ -486,7 +418,7 @@ class Environment:
                         callback(obj)
                     if not obj._ok and not obj._defused:
                         raise obj._value
-                    if live[0] or not queue:
+                    if not queue:
                         break
         except StopSimulation as stop:
             event = stop.args[0]

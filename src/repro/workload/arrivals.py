@@ -8,7 +8,7 @@ alternatives live here so experiments can contrast them.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 

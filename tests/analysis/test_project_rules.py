@@ -157,13 +157,15 @@ def test_sl008_unknown_package_must_be_placed_in_dag():
 
 def test_sl008_harness_files_may_import_anything():
     findings = lint_sources({"src/repro/faults/chaos.py": (
-        "from repro.scheduling.simulator import ClusterSimulator\n")})
+        "from repro.scheduling.simulator import ClusterSimulator\n"
+        "SIMULATOR = ClusterSimulator\n")})
     assert findings == []
 
 
 def test_sl008_self_import_allowed():
     findings = lint_sources({"src/repro/workload/mod.py": (
-        "from repro.workload.trace import TraceArchive\n")})
+        "from repro.workload.trace import TraceArchive\n"
+        "ARCHIVE = TraceArchive\n")})
     assert findings == []
 
 

@@ -1,4 +1,4 @@
-"""Fixture-backed tests for every simlint rule (SL001–SL006)."""
+"""Fixture-backed tests for every per-file simlint rule."""
 
 import os
 
@@ -18,7 +18,8 @@ def codes_in(filename):
 
 
 def test_rule_registry_is_complete():
-    assert ALL_CODES == ["SL001", "SL002", "SL003", "SL004", "SL005", "SL006"]
+    assert ALL_CODES == ["SL001", "SL002", "SL003", "SL004", "SL005", "SL006",
+                         "SL011"]
     assert all(rule.summary for rule in RULES)
 
 
@@ -90,6 +91,22 @@ def test_sl006_ordering_comparisons_allowed():
     src = ("def f(env, d):\n"
            "    return env.now >= d\n")
     assert lint_source(src) == []
+
+
+def test_sl011_flags_each_unread_name():
+    findings = lint_file(os.path.join(FIXTURES, "sl011_bad.py"))
+    flagged = [f.message.split("'")[1] for f in findings if f.code == "SL011"]
+    assert flagged == ["heapq", "os", "field", "Maybe"]
+
+
+def test_sl011_exempts_future_init_and_dunder_all():
+    src = ("from __future__ import annotations\n"
+           "import json\n"
+           "__all__ = ['json']\n")
+    assert lint_source(src, path="pkg/mod.py") == []
+    assert lint_source("import json\n", path="pkg/__init__.py") == []
+    assert lint_source("import json  # simlint: disable=SL011\n") == []
+    assert [f.code for f in lint_source("import json\n")] == ["SL011"]
 
 
 # -- inline suppression ----------------------------------------------------

@@ -80,9 +80,12 @@ def test_tracer_uninstalled_after_block():
     digest = TraceDigest()
     with Environment.traced(digest):
         env = Environment()
-        assert env.tracer is digest
+        env.run(until=env.timeout(1.0))
+    assert digest.events == env.dispatch_count == 1
     assert Environment._default_tracers == ()
-    assert Environment().tracer is None
+    after = Environment()
+    after.run(until=after.timeout(1.0))
+    assert digest.events == 1
 
 
 def test_trace_digest_keeps_bounded_head():
@@ -294,8 +297,8 @@ def test_shared_state_watch_rejects_unwatchable_types():
 def test_shared_state_hook_uninstalled_on_exit():
     env = Environment()
     with SharedStateSanitizer(env):
-        assert env._on_schedule is not None
-    assert env._on_schedule is None
+        assert env._schedule_hook is not None
+    assert env._schedule_hook is None
 
 
 # -- kernel debug mode -----------------------------------------------------

@@ -129,6 +129,26 @@ class TestEnvelope:
             ScheduleEnvelope(world="failover",
                              kind_weights=(("crash", 1.0),))
 
+    @pytest.mark.parametrize("overrides", [
+        {"horizon_s": float("nan")},
+        {"horizon_s": 0.0},
+        {"sim_budget_s": float("nan")},
+        {"sim_budget_s": -1.0},
+        {"min_duration_s": 90.0, "max_duration_s": 10.0},
+        {"min_crash_outage_s": float("nan")},
+        {"min_loss_rate": -0.1},
+        {"max_overload_factor": float("nan")},
+        {"min_burst_fraction": 0.5, "max_burst_fraction": 0.2},
+    ])
+    def test_rejects_nan_non_positive_and_inverted_numbers(self, overrides):
+        with pytest.raises(ValueError):
+            ScheduleEnvelope.for_world("partition", **overrides)
+
+    def test_schedule_rejects_nan_budget(self):
+        with pytest.raises(ValueError, match="sim_budget_s"):
+            FaultSchedule(world="partition", seed=0,
+                          sim_budget_s=float("nan"))
+
     def test_for_world_drops_unsupported_kinds(self):
         envelope = ScheduleEnvelope.for_world("failover")
         kinds = {kind for kind, _ in envelope.kind_weights}

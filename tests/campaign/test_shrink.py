@@ -129,6 +129,13 @@ class TestCli:
 
         assert campaign_main(["repro", str(minimal)]) == 0
 
+    @pytest.mark.parametrize("budget", ["nan", "0", "-5"])
+    def test_bad_budget_exits_two_with_the_message(self, budget, capsys):
+        code = campaign_main(["run", "--schedules", "1",
+                              "--budget", budget])
+        assert code == 2
+        assert "sim_budget_s must be positive" in capsys.readouterr().err
+
     def test_clean_run_exits_zero(self, tmp_path):
         code = campaign_main([
             "run", "--seed", "0", "--schedules", "2",

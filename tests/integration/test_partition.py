@@ -104,7 +104,7 @@ class TestOneWayPartitions:
             episodes=[PartitionEpisode(10.0, 60.0, "far", direction)]))
         sim = ClusterSimulator(env, cluster, FCFSPolicy(),
                                network=network, node_name="scheduler",
-                               report_retry_s=2.0, dispatch_timeout_s=5.0)
+                               report_retry_s=2.0)
         return env, sim, network
 
     def test_outbound_cut_loses_reports_not_dispatches(self):

@@ -36,13 +36,18 @@ def test_profiler_attributes_dispatches_and_processes():
 def test_profiler_uninstalls_after_block():
     profiler = SimProfiler()
     with profiler:
-        assert Environment().profiler is profiler
-    assert Environment().profiler is None
+        env = Environment()
+        _workload(env)
+        env.run()
+    assert profiler.dispatches == env.dispatch_count
+    after = Environment()
+    _workload(after)
+    after.run()
+    assert profiler.dispatches == env.dispatch_count
 
 
 def test_unprofiled_environment_pays_no_bookkeeping():
     env = Environment()
-    assert env.profiler is None
     _workload(env)
     env.run()  # nothing to assert beyond "no profiler, still runs"
 

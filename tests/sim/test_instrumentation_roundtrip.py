@@ -1,16 +1,18 @@
-"""Round-trip regression tests for the instrumentation live-flag.
+"""Regression tests for choosing the dispatch tier.
 
-The rearchitected run loop dispatches through a zero-overhead fast path
-whenever no tracer, profiler, debug mode, or scheduling hook is installed,
-and routes through the instrumented :meth:`Environment.step` otherwise.
-The switch is the one-cell ``_live`` flag that every hook mutator must
-keep current. These tests pin the round-trip property: installing any
-hook flips the environment to the instrumented tier, and removing it
-restores the fast path *exactly* — same flag, same tracer list, no
-leftover instrumentation tax — including when the toggle happens mid-run.
+The run loop dispatches through a zero-overhead fast path when no
+tracer, profiler, debug mode, or scheduling hook is installed, and
+routes through the instrumented :meth:`Environment.step` otherwise. The
+tier is chosen once per :meth:`Environment.run`, at entry. These tests
+pin what each hook sees: a hook installed before a run sees every
+dispatch of it, an environment built outside a ``traced``/``profiled``
+block feeds that block's hook nothing, and a tracer added during a
+fast-tier run waits for the next ``run()``.
 """
 
 from __future__ import annotations
+
+import pytest
 
 from repro.observability import SimProfiler
 from repro.sim import Environment
@@ -25,87 +27,44 @@ def drain(env, horizon=5.0):
     env.run(until=horizon)
 
 
-def test_fresh_environment_is_uninstrumented():
+@pytest.fixture
+def steps(monkeypatch):
+    """Counts dispatches routed through :meth:`Environment.step`."""
+    calls = []
+    step = Environment.step
+
+    def counting(env):
+        calls.append(env.now)
+        step(env)
+
+    monkeypatch.setattr(Environment, "step", counting)
+    return calls
+
+
+def test_fresh_environment_is_uninstrumented(steps):
     env = Environment()
-    assert env._instrumented is False
-    assert env._tracers == []
-    assert env.tracer is None
-    assert env.profiler is None
+    drain(env)
+    assert env.dispatch_count == 5
+    assert steps == []  # every dispatch took the fast tier
 
 
-def test_add_remove_tracer_round_trip():
-    env = Environment()
-    fn = lambda t, eid, kind: None  # noqa: E731
-    env.add_tracer(fn)
-    assert env._instrumented is True
-    assert env._tracers == [fn]
-    env.remove_tracer(fn)
-    assert env._instrumented is False
-    assert env._tracers == []
-
-
-def test_multiple_tracers_stay_instrumented_until_last_removed():
-    env = Environment()
-    a = lambda t, eid, kind: None  # noqa: E731
-    b = lambda t, eid, kind: None  # noqa: E731
-    env.add_tracer(a)
-    env.add_tracer(b)
-    env.remove_tracer(a)
-    assert env._instrumented is True
-    assert env._tracers == [b]
-    env.remove_tracer(b)
-    assert env._instrumented is False
-
-
-def test_tracer_property_setter_round_trip():
-    env = Environment()
-    fn = lambda t, eid, kind: None  # noqa: E731
-    env.tracer = fn
-    assert env._instrumented is True
-    assert env.tracer is fn
-    env.tracer = None
-    assert env._instrumented is False
-    assert env._tracers == []
-
-
-def test_profiler_setter_round_trip():
-    env = Environment()
-    env.profiler = SimProfiler()
-    assert env._instrumented is True
-    env.profiler = None
-    assert env._instrumented is False
-
-
-def test_debug_setter_round_trip():
-    env = Environment()
-    env.debug = True
-    assert env._instrumented is True
-    env.debug = False
-    assert env._instrumented is False
-
-
-def test_schedule_hook_round_trip():
-    env = Environment()
-    env._on_schedule = lambda event: None
-    assert env._instrumented is True
-    env._on_schedule = None
-    assert env._instrumented is False
-
-
-def test_debug_constructor_flag_instruments():
-    assert Environment(debug=True)._instrumented is True
+def test_debug_constructor_flag_instruments(steps):
+    env = Environment(debug=True)
+    drain(env)
+    assert len(steps) == env.dispatch_count == 5
 
 
 def test_traced_block_round_trip():
     events = []
     with Environment.traced(lambda t, eid, kind: events.append(kind)):
         env = Environment()
-        assert env._instrumented is True
         drain(env)
-    assert events  # the block's environments fed the tracer
-    # Environments created after the block are back on the fast path.
+    # The block's environment fed the tracer every dispatch...
+    assert len(events) == env.dispatch_count == 5
+    # ...and one created after the block feeds it nothing.
     after = Environment()
-    assert after._instrumented is False
+    drain(after)
+    assert len(events) == 5
     assert Environment._default_tracers == ()
 
 
@@ -124,83 +83,33 @@ def test_nested_traced_blocks_stack_and_unwind():
 def test_profiled_block_round_trip():
     with Environment.profiled(SimProfiler()) as prof:
         env = Environment()
-        assert env.profiler is prof
-        assert env._instrumented is True
         drain(env)
     assert Environment._default_profiler is None
-    assert Environment()._instrumented is False
-    assert prof.dispatches > 0
+    assert prof.dispatches == env.dispatch_count == 5
+    drain(Environment())
+    assert prof.dispatches == 5
 
 
-def test_live_flag_identity_is_stable():
-    # run() pre-binds the _live cell once; mutators must update the cell
-    # in place, never rebind it, or a running loop would consult a stale
-    # flag forever.
-    env = Environment()
-    cell = env._live
-    env.add_tracer(lambda t, eid, kind: None)
-    env.debug = True
-    env.profiler = SimProfiler()
-    env.tracer = None
-    env.profiler = None
-    env.debug = False
-    assert env._live is cell
-    assert env._instrumented is False
-
-
-def test_mid_run_round_trip_restores_fast_path():
-    # Toggle instrumentation twice inside one run(): the traced windows
-    # must capture exactly their dispatches and the untraced gaps none,
-    # while tick times stay unperturbed.
+def test_tracer_added_during_a_fast_run_waits_for_the_next_run():
     env = Environment()
     seen = []
-    fn = lambda t, eid, kind: seen.append(t)  # noqa: E731
     times = []
-
-    def work():
-        for _ in range(8):
-            yield 1.0
-            times.append(env.now)
-
-    def toggler():
-        yield env.timeout(1.5)
-        env.add_tracer(fn)
-        yield env.timeout(2.0)
-        env.remove_tracer(fn)
-        assert env._instrumented is False
-        yield env.timeout(2.0)
-        env.add_tracer(fn)
-        yield env.timeout(1.0)
-        env.remove_tracer(fn)
-
-    env.ticker(work())
-    env.process(toggler())
-    env.run()
-    assert times == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
-    assert env._instrumented is False
-    assert env._tracers == []
-    # Traced windows were (1.5, 3.5] and (5.5, 6.5]: ticks at 2, 3 and 6,
-    # plus the toggler's own timeouts at 3.5 and 6.5.
-    assert [t for t in seen if t == int(t)] == [2.0, 3.0, 6.0]
-
-
-def test_mid_run_profiler_round_trip():
-    env = Environment()
-    prof = SimProfiler()
 
     def work():
         for _ in range(6):
             yield 1.0
+            times.append(env.now)
 
-    def toggler():
+    def installer():
         yield env.timeout(2.5)
-        env.profiler = prof
-        yield env.timeout(2.0)
-        env.profiler = None
+        env.add_tracer(lambda t, eid, kind: seen.append(t))
 
     env.ticker(work())
-    env.process(toggler())
+    env.process(installer())
+    env.run(until=4.0)
+    assert seen == []  # none of the fast run's dispatches
+    before = env.dispatch_count
     env.run()
-    assert env._instrumented is False
-    # Profiled window (2.5, 4.5]: ticks at 3, 4 and the toggler resume.
-    assert prof.dispatches == 3
+    assert len(seen) == env.dispatch_count - before
+    assert seen[:2] == [4.0, 5.0]
+    assert times == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]

@@ -404,33 +404,6 @@ def test_run_until_time_stops_mid_batch_and_resumes():
     assert tick.completed.value == "done"
 
 
-def test_mid_run_add_tracer_from_process_switches_tiers():
-    # Installing a tracer mid-run must take effect for subsequent
-    # dispatches (the fast loop re-checks instrumentation after resuming
-    # user code); removing it must restore the fast path without
-    # perturbing tick times.
-    env = Environment()
-    seen = []
-    tracer = lambda t, eid, kind: seen.append((t, kind))  # noqa: E731
-
-    def body():
-        for _ in range(6):
-            yield 1.0
-
-    def toggler():
-        yield env.timeout(2.5)
-        env.add_tracer(tracer)
-        yield env.timeout(2.0)
-        env.remove_tracer(tracer)
-
-    env.ticker(body())
-    env.process(toggler())
-    env.run()
-    assert env.now == 6.0
-    tick_times = [t for t, kind in seen if kind == "Tick"]
-    assert tick_times == [3.0, 4.0]  # only ticks inside the traced window
-
-
 def test_two_tickers_interleave_deterministically():
     env = Environment()
     log = []
