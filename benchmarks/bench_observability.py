@@ -24,6 +24,9 @@ def bench_instrumentation_overhead(benchmark, report, table):
     kwargs = dict(seed=211, error_rate=0.15, retry=True, n_invocations=800)
 
     def run_all():
+        # Untimed warm-up: the first run pays imports and cold caches,
+        # which would otherwise be billed to ``bare`` alone.
+        run_serverless_scenario(**kwargs)
         out = {}
         out["bare"] = _timed(lambda: run_serverless_scenario(**kwargs))
 
@@ -44,19 +47,24 @@ def bench_instrumentation_overhead(benchmark, report, table):
     serialized, json_s = _timed(tracer.to_json)
     _, digest_s = _timed(tracer.digest)
 
+    # Only deterministic columns are committed; host wall times vary from
+    # run to run, so they go to stdout.
     bare_s = max(results["bare"][1], 1e-9)
-    rows = []
-    for name, (outcome, wall_s) in results.items():
-        rows.append([name, f"{wall_s * 1000:.1f} ms",
-                     f"{wall_s / bare_s:.2f}x",
-                     f"{outcome['slo_attainment']:.3f}"])
-    rows.append(["serialize+digest",
-                 f"{(json_s + digest_s) * 1000:.2f} ms",
-                 f"{len(tracer.spans)} spans",
-                 f"{len(serialized) / 1024:.0f} KiB"])
+    for name, (_, wall_s) in results.items():
+        print(f"{name}: {wall_s * 1000:.1f} ms ({wall_s / bare_s:.2f}x bare)")
+    print(f"serialize+digest: {(json_s + digest_s) * 1000:.2f} ms")
+    details = {
+        "bare": "-",
+        "traced": f"{len(tracer.spans)} spans, "
+                  f"{len(serialized) / 1024:.0f} KiB serialized",
+        "profiled": f"{profiler.dispatches} dispatches profiled",
+    }
+    rows = [[name, f"{outcome['slo_attainment']:.3f}", details[name]]
+            for name, (outcome, _) in results.items()]
     report("observability_overhead",
-           "PR-5: span/metric/profiler overhead on a serverless run",
-           table(["scenario", "wall clock", "vs bare", "SLO / detail"], rows))
+           "What spans, metrics and the profiler record on a serverless "
+           "run",
+           table(["scenario", "SLO attainment", "recorded"], rows))
 
     # Instrumentation must never change behavior, only record it.
     assert results["traced"][0]["slo_attainment"] == \

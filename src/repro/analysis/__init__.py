@@ -17,8 +17,6 @@ machine-checked:
   flow-aware SL001 RNG-provenance pass plus SL007–SL010;
 - :mod:`repro.analysis.lint` — the CLI / API driver
   (``python -m repro.analysis.lint src/``);
-- :mod:`repro.analysis.baseline` — the ``.simlint-baseline`` suppression
-  file for intentional, documented exceptions;
 - :mod:`repro.analysis.sanitizers` — opt-in runtime checks: the
   determinism sanitizer (same seed ⇒ same event trace), the
   resource-leak sanitizer (no outstanding acquires at teardown), and the
@@ -26,7 +24,6 @@ machine-checked:
 """
 
 from repro.analysis.rules import Finding, RULES, lint_source
-from repro.analysis.baseline import Baseline
 from repro.analysis.graph import Project, build_project
 from repro.analysis.layers import LAYERS, layer_for_module
 from repro.analysis.project_rules import PROJECT_RULES, run_project_rules
@@ -57,7 +54,6 @@ def __getattr__(name):
 
 
 __all__ = [
-    "Baseline",
     "DeterminismSanitizer",
     "DeterminismViolation",
     "Finding",

@@ -3,15 +3,16 @@
 Usage::
 
     python -m repro.analysis.lint src/ [--format=text|json]
-        [--baseline .simlint-baseline] [--no-baseline] [--write-baseline]
-        [--rules SL007,SL008] [--prune-baseline]
+        [--rules SL007,SL008]
 
 Every run applies both the per-file rules (SL001–SL006, SL011) and the
 whole-program rules (SL007–SL010 plus the interprocedural SL001 flow
 pass): the linted files are parsed once into a project call graph, so a
-single file is simply a one-module project.
+single file is simply a one-module project. A finding is accepted only
+by a ``# simlint: disable=SL00x`` comment on its line, with a comment
+giving the reason.
 
-Exit codes: 0 clean (modulo baseline), 1 findings, 2 usage/parse error.
+Exit codes: 0 clean, 1 findings, 2 usage/parse error.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import os
 import sys
 from typing import Iterable, Optional
 
-from repro.analysis.baseline import DEFAULT_BASELINE_NAME, Baseline
 from repro.analysis.graph import build_project
 from repro.analysis.project_rules import PROJECT_RULES, run_project_rules
 from repro.analysis.rules import RULES, Finding, lint_source
@@ -95,22 +95,17 @@ def _known_codes() -> set[str]:
     return {r.code for r in RULES} | {r.code for r in PROJECT_RULES}
 
 
-def _render_text(new: list[Finding], known: list[Finding]) -> str:
-    lines = [f.format() for f in new]
-    summary = (f"{len(new)} finding(s)"
-               + (f", {len(known)} baselined" if known else ""))
-    if new:
-        lines.append(summary)
-    else:
-        lines.append(f"clean: {summary}")
+def _render_text(findings: list[Finding]) -> str:
+    lines = [f.format() for f in findings]
+    summary = f"{len(findings)} finding(s)"
+    lines.append(summary if findings else f"clean: {summary}")
     return "\n".join(lines)
 
 
-def _render_json(new: list[Finding], known: list[Finding]) -> str:
+def _render_json(findings: list[Finding]) -> str:
     return json.dumps({
-        "findings": [f.to_dict() for f in new],
-        "baselined": [f.to_dict() for f in known],
-        "count": len(new),
+        "findings": [f.to_dict() for f in findings],
+        "count": len(findings),
         "rules": _rule_catalog(),
     }, indent=2)
 
@@ -122,16 +117,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                     "perf checks for the sim kernel and its domains.")
     parser.add_argument("paths", nargs="+", help="files or directories")
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--baseline", default=DEFAULT_BASELINE_NAME,
-                        help="baseline file (default: %(default)s)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="report baselined findings as failures too")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="accept all current findings into the baseline")
-    parser.add_argument("--prune-baseline", action="store_true",
-                        help="drop baseline entries that no longer match "
-                             "any finding, rewrite the file, and report "
-                             "what was pruned")
     parser.add_argument("--rules", default=None, metavar="CODES",
                         help="comma-separated rule codes to report "
                              "(e.g. SL007,SL008); default: all")
@@ -147,11 +132,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                   f"{', '.join(sorted(unknown))}", file=sys.stderr)
             return 2
 
-    # Anchor finding paths to the baseline's directory, so entries match
-    # no matter which cwd the linter is invoked from.
-    root = os.path.dirname(os.path.abspath(args.baseline))
     try:
-        findings = lint_paths(args.paths, root=root)
+        findings = lint_paths(args.paths)
     except FileNotFoundError as err:
         print(f"simlint: no such path: {err}", file=sys.stderr)
         return 2
@@ -163,34 +145,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     if selected is not None:
         findings = [f for f in findings if f.code in selected]
 
-    if args.prune_baseline:
-        baseline = Baseline.load_if_exists(args.baseline)
-        live = {(f.code, f.path, f.snippet) for f in findings}
-        stale = sorted(baseline.entries - live)
-        if stale:
-            # Only rewrite when something actually goes: hand-written
-            # comments in the file survive a clean audit.
-            baseline.entries &= live
-            baseline.write(args.baseline, [
-                Finding(code=c, path=p, line=0, col=0, message="", snippet=s)
-                for c, p, s in sorted(baseline.entries)])
-        for code, path, snippet in stale:
-            print(f"pruned: {code}\t{path}\t{snippet}")
-        print(f"pruned {len(stale)} stale entr(y/ies); "
-              f"{len(baseline.entries)} kept in {args.baseline}")
-        return 0
-
-    if args.write_baseline:
-        Baseline().write(args.baseline, findings)
-        print(f"wrote {len(findings)} entr(y/ies) to {args.baseline}")
-        return 0
-
-    baseline = (Baseline() if args.no_baseline
-                else Baseline.load_if_exists(args.baseline))
-    new, known = baseline.split(findings)
     render = _render_json if args.format == "json" else _render_text
-    print(render(new, known))
-    return 1 if new else 0
+    print(render(findings))
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

@@ -2,9 +2,9 @@
 
 Each rule carries a code (``SL001``…), a one-line summary, and a checker
 over a parsed module. The rules are deliberately heuristic — they aim for
-high-signal findings on simulation code, with the ``.simlint-baseline``
-file and ``# simlint: disable=SL00x`` comments as the escape hatches for
-intentional, documented exceptions.
+high-signal findings on simulation code. A ``# simlint: disable=SL00x``
+comment on the flagged line, with a comment giving the reason, is the one
+way to accept an intentional exception.
 
 SL001  nondeterministic RNG
     Calls through module-global RNG state (``random.*``, ``np.random.*``)
@@ -26,9 +26,9 @@ SL003  non-event yield in a sim process
 
 SL004  acquire without release-on-all-paths
     A ``.request()``/``.allocate()`` whose enclosing function neither uses
-    a ``with`` block nor contains a ``try/finally`` releasing the claim.
-    Cross-process acquire/release protocols are legitimate but must be
-    baselined explicitly.
+    a ``with`` block nor contains a ``try/finally`` releasing the claim,
+    nor hands the claim to a process it spawns: ``env.process(self.m(...))``
+    where the sibling generator method ``m`` releases in a ``try/finally``.
 
 SL005  iteration over an unordered set
     ``for x in set(...)`` / set literals / set comprehensions. Set order
@@ -59,15 +59,14 @@ __all__ = ["Finding", "Rule", "RULES", "lint_source"]
 
 @dataclass(frozen=True)
 class Finding:
-    """One lint finding, printable and baseline-matchable."""
+    """One lint finding, printable and JSON-serializable."""
 
     code: str
     path: str
     line: int
     col: int
     message: str
-    #: The stripped source line — the baseline key, stable across
-    #: line-number drift.
+    #: The stripped source line.
     snippet: str
 
     def format(self) -> str:
@@ -311,6 +310,40 @@ def _finally_releases(try_node: ast.Try) -> bool:
     return False
 
 
+def _releases_in_finally(fn: ast.AST) -> bool:
+    return any(isinstance(n, ast.Try) and _finally_releases(n)
+               for n in ast.walk(fn))
+
+
+def _spawns_releasing_method(mod: _Module, fn: ast.AST) -> bool:
+    """Whether method ``fn`` spawns ``<env>.process(self.m(...))`` for a
+    sibling generator method ``m`` that releases in a try/finally — the
+    claim's ownership handed to the process that holds it."""
+    cls = mod.parents.get(fn)
+    if not isinstance(cls, ast.ClassDef):
+        return False
+    methods = {m.name: m for m in cls.body
+               if isinstance(m, ast.FunctionDef)}
+    for node in ast.walk(fn):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "process" and node.args):
+            continue
+        spawned = node.args[0]
+        if not (isinstance(spawned, ast.Call)
+                and isinstance(spawned.func, ast.Attribute)
+                and isinstance(spawned.func.value, ast.Name)
+                and spawned.func.value.id == "self"):
+            continue
+        method = methods.get(spawned.func.attr)
+        if method is not None and _releases_in_finally(method) and any(
+                isinstance(n, (ast.Yield, ast.YieldFrom))
+                and mod.enclosing_function(n) is method
+                for n in ast.walk(method)):
+            return True
+    return False
+
+
 def _check_sl004(mod: _Module) -> list[Finding]:
     out = []
     for node in ast.walk(mod.tree):
@@ -321,15 +354,14 @@ def _check_sl004(mod: _Module) -> list[Finding]:
         if any(isinstance(anc, ast.withitem) for anc in mod.ancestors(node)):
             continue  # context manager: released by __exit__
         fn = mod.enclosing_function(node)
-        if fn is not None and any(
-                isinstance(n, ast.Try) and _finally_releases(n)
-                for n in ast.walk(fn)):
-            continue  # try/finally release in the same function
+        if fn is not None and (_releases_in_finally(fn)
+                               or _spawns_releasing_method(mod, fn)):
+            continue  # released here, or by the process it spawns
         out.append(mod.finding(
             "SL004", node,
             f".{node.func.attr}() without a with-block or try/finally "
-            "release in the same function; a failure path leaks the claim "
-            "(baseline cross-process protocols explicitly)"))
+            "release in the same function or in the generator method it "
+            "spawns; a failure path leaks the claim"))
     return out
 
 

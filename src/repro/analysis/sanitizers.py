@@ -5,9 +5,10 @@ breaches; these sanitizers catch the rest *empirically*, the way race
 detectors and memory sanitizers back up code review:
 
 - :class:`DeterminismSanitizer` runs a scenario N times and diffs a
-  digest of every dispatched event ``(t, eid, kind)`` across runs — a
-  single stray RNG draw, wall-clock read, or set-ordered decision shows
-  up as a digest mismatch with the first diverging step.
+  digest of every dispatched event ``(t, eid, kind)`` across runs, then
+  the scenario's return values — a single stray RNG draw, wall-clock
+  read, or set-ordered decision shows up as a digest mismatch with the
+  first diverging step.
 - :class:`ResourceLeakSanitizer` audits tracked resources/machines at
   teardown for outstanding acquires — the runtime analogue of SL004.
 - :class:`SharedStateSanitizer` is the shard-safety race detector: wrap a
@@ -42,7 +43,8 @@ __all__ = [
 
 
 class DeterminismViolation(AssertionError):
-    """Two same-seed runs of a scenario produced different event traces."""
+    """Two same-seed runs of a scenario produced different event traces
+    or results."""
 
 
 class ResourceLeakError(AssertionError):
@@ -89,7 +91,8 @@ def _first_divergence(a: "TraceDigest", b: "TraceDigest") -> str:
 
 
 class DeterminismSanitizer:
-    """Runs a scenario repeatedly and requires identical event traces.
+    """Runs a scenario repeatedly and requires identical event traces
+    and return values.
 
     The scenario is any zero-argument callable that builds its own
     environment(s) and runs them — e.g. ``lambda:
@@ -104,27 +107,36 @@ class DeterminismSanitizer:
         self.keep = keep
         self.digests: list[TraceDigest] = []
 
-    def record(self, scenario: Callable[[], Any]) -> TraceDigest:
-        """One traced execution of ``scenario``; returns its digest."""
+    def record(self, scenario: Callable[[], Any]) -> tuple[TraceDigest, Any]:
+        """One traced execution of ``scenario``: its digest and result."""
         digest = TraceDigest(keep=self.keep)
         with Environment.traced(digest):
-            scenario()
-        return digest
+            result = scenario()
+        return digest, result
 
     def check(self, scenario: Callable[[], Any],
               label: str = "scenario") -> str:
-        """Run ``scenario`` ``runs`` times; raise on any trace mismatch.
+        """Run ``scenario`` ``runs`` times; raise on any mismatch.
 
-        Returns the (common) hex digest on success.
+        Event digests are compared first, then the scenario's return
+        values (the campaign double-run oracle's order): identical
+        dispatch that still returns a different result is a violation
+        too. Returns the (common) hex digest on success.
         """
-        self.digests = [self.record(scenario) for _ in range(self.runs)]
-        first = self.digests[0]
-        for i, other in enumerate(self.digests[1:], start=2):
+        runs = [self.record(scenario) for _ in range(self.runs)]
+        self.digests = [digest for digest, _ in runs]
+        first, result = runs[0]
+        for i, (other, _) in enumerate(runs[1:], start=2):
             if other.hexdigest() != first.hexdigest():
                 raise DeterminismViolation(
                     f"{label}: run 1 and run {i} diverged after dispatching "
                     f"{first.events} vs {other.events} events — "
                     f"{_first_divergence(first, other)}")
+        for i, (_, other) in enumerate(runs[1:], start=2):
+            if other != result:
+                raise DeterminismViolation(
+                    f"{label}: run 1 and run {i} dispatched identical "
+                    "events but returned different results")
         return first.hexdigest()
 
 

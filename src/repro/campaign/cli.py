@@ -68,23 +68,21 @@ def _cmd_run(args) -> int:
     for world in worlds:
         if world not in WORLDS:
             raise SystemExit(f"unknown world {world!r}; known: {WORLDS}")
-    envelopes = None
-    if args.budget is not None:
-        try:
-            envelopes = tuple(
-                ScheduleEnvelope.for_world(world, sim_budget_s=args.budget)
-                for world in worlds)
-        except ValueError as err:
-            print(f"error: --budget: {err}", file=sys.stderr)
-            return 2
-    config = CampaignConfig(
-        root_seed=args.seed,
-        n_schedules=args.schedules,
-        workers=args.workers,
-        worlds=worlds,
-        envelopes=envelopes,
-        double_run=not args.no_double_run,
-        extra_world_kwargs=_parse_world_kwargs(args.world_kwarg))
+    try:
+        envelopes = None if args.budget is None else tuple(
+            ScheduleEnvelope.for_world(world, sim_budget_s=args.budget)
+            for world in worlds)
+        config = CampaignConfig(
+            root_seed=args.seed,
+            n_schedules=args.schedules,
+            workers=args.workers,
+            worlds=worlds,
+            envelopes=envelopes,
+            double_run=not args.no_double_run,
+            extra_world_kwargs=_parse_world_kwargs(args.world_kwarg))
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     report = run_campaign(config)
     print(report.format())
     if args.report:

@@ -59,6 +59,12 @@ class CampaignConfig:
     double_run: bool = True
     extra_world_kwargs: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        for name in ("n_schedules", "workers"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+
     def resolved_envelopes(self) -> tuple:
         if self.envelopes is not None:
             return tuple(self.envelopes)
@@ -171,7 +177,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     started = time.monotonic()  # simlint: disable=SL002
     schedules = generate_schedules(config)
     indexed = list(enumerate(schedules))
-    workers = max(1, config.workers)
+    workers = config.workers
     payloads = []
     for shard in range(workers):
         mine = [(i, s.as_dict()) for i, s in indexed

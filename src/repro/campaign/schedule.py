@@ -173,6 +173,13 @@ class ScheduleEnvelope:
             if not 0 <= low <= high:  # NaN included
                 raise ValueError(
                     f"need 0 <= {lo} <= {hi}, got {low} and {high}")
+        for name in ("min_duration_s", "min_crash_outage_s"):
+            # Episode bounds are rounded to 1 ms: a shorter episode could
+            # round to an empty [start, start) window.
+            value = getattr(self, name)
+            if value < 0.001:
+                raise ValueError(f"{name} must be >= 0.001 s, the grain "
+                                 f"episode bounds are rounded to; got {value}")
         allowed = KINDS_BY_WORLD[self.world]
         for kind, weight in self.kind_weights:
             if kind not in allowed:

@@ -136,9 +136,6 @@ class ClusterSimulator:
         self.goodput_core_s = 0.0
         self.wasted_core_s = 0.0
         self._procs: dict[int, object] = {}
-        #: Machine incarnation observed when each running task was placed,
-        #: so post-crash releases are recognized as stale.
-        self._incarnations: dict[int, int] = {}
         #: Optional write-ahead journal of submit/dispatch/complete/requeue
         #: transitions. With one, the scheduler itself can crash and
         #: recover: see :meth:`crash_scheduler` / :meth:`recover_scheduler`.
@@ -465,11 +462,10 @@ class ClusterSimulator:
         task.state = TaskState.RUNNING
         task.start_time = self.env.now
         self.running[task.task_id] = (task, machine, self.env.now)
-        self._incarnations[task.task_id] = machine.incarnation
         self.monitor.record("queue_length", len(self.ready))
         self._span_start(task, machine)
         self._procs[task.task_id] = self.env.process(
-            self._execute(task, machine))
+            self._execute(task, machine, machine.incarnation))
 
     def _lose_dispatch(self, task: Task, machine: Machine) -> None:
         """Send ``task`` to limbo: it looks running to the scheduler
@@ -617,7 +613,9 @@ class ClusterSimulator:
                         self.monitor.count("orphans_requeued")
         self._kick()
 
-    def _execute(self, task: Task, machine: Machine):
+    def _execute(self, task: Task, machine: Machine, incarnation: int):
+        """Process: run ``task`` on ``machine``, which :meth:`_start`
+        allocated under ``incarnation``; this process owns the release."""
         from repro.sim import Interrupt
         runtime = machine.runtime_of(task.work)
         if self.service_time_factor is not None:
@@ -627,13 +625,11 @@ class ClusterSimulator:
         try:
             yield self.env.timeout(runtime)
         except Interrupt:
-            # Machine failed under us; the crash already wiped the
-            # machine's allocations (see Machine.fail), so no release.
+            # Machine failed under us.
             self.wasted_core_s += (self.env.now - task.start_time) * task.cores
             self.monitor.count("killed_executions")
             del self.running[task.task_id]
             del self._procs[task.task_id]
-            self._incarnations.pop(task.task_id, None)
             if self.failure_mode == "drop":
                 self._span_end(task, "dropped")
                 task.state = TaskState.FAILED
@@ -656,8 +652,12 @@ class ClusterSimulator:
                 self._journal("requeue", task)
             self._kick()
             return
-        machine.release(task.cores, task.memory_gb,
-                        incarnation=self._incarnations.pop(task.task_id))
+        finally:
+            # After a failure this release is stale and returns False: the
+            # crash already wiped the allocation and bumped the incarnation
+            # (see Machine.fail).
+            machine.release(task.cores, task.memory_gb,
+                            incarnation=incarnation)
         self.goodput_core_s += runtime * task.cores
         task.state = TaskState.DONE
         task.finish_time = self.env.now

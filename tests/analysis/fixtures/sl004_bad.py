@@ -17,3 +17,19 @@ def place_task(machine, task):
 
 def run(task):
     pass
+
+
+class Placer:
+    """Hands the claim to a process that releases only on the happy
+    path: an interrupt during the timeout leaks it."""
+
+    def __init__(self, env):
+        self.env = env
+
+    def start(self, machine, task):
+        machine.allocate(task.cores, task.memory_gb)
+        self.env.process(self._hold(machine, task))
+
+    def _hold(self, machine, task):
+        yield self.env.timeout(task.work)
+        machine.release(task.cores, task.memory_gb)

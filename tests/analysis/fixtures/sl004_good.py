@@ -26,3 +26,21 @@ def place_task(machine, task):
 
 def run(task):
     pass
+
+
+class Placer:
+    """Hands the claim to the process that holds it: released there in a
+    try/finally."""
+
+    def __init__(self, env):
+        self.env = env
+
+    def start(self, machine, task):
+        machine.allocate(task.cores, task.memory_gb)
+        self.env.process(self._hold(machine, task))
+
+    def _hold(self, machine, task):
+        try:
+            yield self.env.timeout(task.work)
+        finally:
+            machine.release(task.cores, task.memory_gb)

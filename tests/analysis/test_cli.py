@@ -5,9 +5,7 @@ import os
 
 import pytest
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.lint import lint_paths, main
-from repro.analysis.rules import Finding
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
@@ -50,45 +48,12 @@ def test_exit_two_on_syntax_error(tmp_path, capsys):
 def test_json_format(bad_file, capsys):
     assert main([bad_file, "--format=json"]) == 1
     payload = json.loads(capsys.readouterr().out)
+    assert sorted(payload) == ["count", "findings", "rules"]
     assert payload["count"] == 1
     (finding,) = payload["findings"]
     assert finding["code"] == "SL002"
     assert finding["line"] == 3
     assert payload["rules"]["SL002"]
-
-
-def test_write_then_honor_baseline(bad_file, tmp_path, capsys):
-    baseline = str(tmp_path / ".simlint-baseline")
-    assert main([bad_file, "--baseline", baseline, "--write-baseline"]) == 0
-    # With the baseline the same findings no longer fail...
-    assert main([bad_file, "--baseline", baseline]) == 0
-    assert "1 baselined" in capsys.readouterr().out
-    # ...unless explicitly ignored.
-    assert main([bad_file, "--baseline", baseline, "--no-baseline"]) == 1
-
-
-def test_baseline_goes_stale_when_code_changes(bad_file, tmp_path):
-    baseline = str(tmp_path / ".simlint-baseline")
-    main([bad_file, "--baseline", baseline, "--write-baseline"])
-    with open(bad_file, "w") as fh:
-        fh.write("import time\ndef f():\n    return time.time() + 1\n")
-    # The flagged line changed, so the entry no longer matches.
-    assert main([bad_file, "--baseline", baseline]) == 1
-
-
-def test_baseline_rejects_malformed_lines(tmp_path):
-    path = tmp_path / "b"
-    path.write_text("SL001 only-two-fields\n")
-    with pytest.raises(ValueError, match="malformed"):
-        Baseline.load(str(path))
-
-
-def test_baseline_split():
-    f1 = Finding("SL001", "a.py", 1, 0, "m", "x = 1")
-    f2 = Finding("SL002", "a.py", 2, 0, "m", "y = 2")
-    baseline = Baseline({("SL001", "a.py", "x = 1")})
-    new, known = baseline.split([f1, f2])
-    assert new == [f2] and known == [f1]
 
 
 def test_rules_filter_selects_codes(tmp_path, capsys):
@@ -99,34 +64,16 @@ def test_rules_filter_selects_codes(tmp_path, capsys):
                     "    return time.time()\n"
                     "def g():\n"
                     "    return np.random.default_rng()\n")
-    assert main([str(path), "--rules", "SL002", "--no-baseline"]) == 1
+    assert main([str(path), "--rules", "SL002"]) == 1
     out = capsys.readouterr().out
     assert "SL002" in out and "SL001" not in out
     # Filtering down to a code the file doesn't trip exits clean.
-    assert main([str(path), "--rules", "SL008", "--no-baseline"]) == 0
+    assert main([str(path), "--rules", "SL008"]) == 0
 
 
 def test_rules_filter_rejects_unknown_code(bad_file, capsys):
     assert main([bad_file, "--rules", "SL999"]) == 2
     assert "unknown rule code" in capsys.readouterr().err
-
-
-def test_prune_baseline_drops_stale_entries(bad_file, tmp_path, capsys):
-    baseline = str(tmp_path / ".simlint-baseline")
-    main([bad_file, "--baseline", baseline, "--write-baseline"])
-    capsys.readouterr()
-    # Entry still live: nothing pruned.
-    assert main([bad_file, "--baseline", baseline, "--prune-baseline"]) == 0
-    assert "pruned 0 stale" in capsys.readouterr().out
-    # Fix the finding, then prune: the entry must go away.
-    with open(bad_file, "w") as fh:
-        fh.write("def f(env):\n    return env.now\n")
-    assert main([bad_file, "--baseline", baseline, "--prune-baseline"]) == 0
-    out = capsys.readouterr().out
-    assert "pruned: SL002" in out
-    assert "pruned 1 stale" in out
-    assert Baseline.load(baseline).entries == set()
-    assert main([bad_file, "--baseline", baseline, "--no-baseline"]) == 0
 
 
 def test_directory_walk_skips_caches(tmp_path):
@@ -136,11 +83,9 @@ def test_directory_walk_skips_caches(tmp_path):
     assert lint_paths([str(tmp_path)]) == []
 
 
-def test_selfcheck_repo_src_is_clean_modulo_baseline():
-    """`simlint src/` must stay clean: fix findings or baseline them."""
+def test_selfcheck_repo_src_is_clean():
+    """`simlint src/` must stay clean: fix a finding, or accept it with an
+    inline `# simlint: disable=` and a comment giving the reason."""
     findings = lint_paths([os.path.join(REPO_ROOT, "src")], root=REPO_ROOT)
-    baseline = Baseline.load_if_exists(
-        os.path.join(REPO_ROOT, ".simlint-baseline"))
-    new, _ = baseline.split(findings)
-    assert new == [], "unbaselined simlint findings:\n" + "\n".join(
-        f.format() for f in new)
+    assert findings == [], "simlint findings:\n" + "\n".join(
+        f.format() for f in findings)

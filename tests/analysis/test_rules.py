@@ -81,6 +81,15 @@ def test_sl004_with_block_accepted():
     assert lint_source(src) == []
 
 
+def test_sl004_flags_every_bad_site_including_the_handoff():
+    findings = lint_file(os.path.join(FIXTURES, "sl004_bad.py"))
+    assert [f.snippet for f in findings if f.code == "SL004"] == [
+        "req = resource.request()",
+        "machine.allocate(task.cores, task.memory_gb)",
+        "machine.allocate(task.cores, task.memory_gb)",
+    ]
+
+
 def test_sl005_sorted_wrapper_accepted():
     src = ("def f(xs):\n"
            "    return [x for x in sorted(set(xs))]\n")

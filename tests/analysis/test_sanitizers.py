@@ -71,6 +71,17 @@ def test_determinism_sanitizer_catches_cross_run_state():
         sanitizer.check(leaky_scenario, label="leaky")
 
 
+def test_determinism_sanitizer_catches_result_divergence():
+    # Same dispatch in both runs, different return values.
+    def scenario():
+        deterministic_scenario(seed=3)
+        _SharedState.counter += 1
+        return _SharedState.counter
+
+    with pytest.raises(DeterminismViolation, match="different results"):
+        DeterminismSanitizer().check(scenario, label="result-leak")
+
+
 def test_determinism_sanitizer_requires_two_runs():
     with pytest.raises(ValueError):
         DeterminismSanitizer(runs=1)

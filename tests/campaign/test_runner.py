@@ -1,6 +1,8 @@
 """Shard-invariance tests: verdicts are a pure function of the config,
 never of the worker count."""
 
+import pytest
+
 from repro.campaign import (
     CampaignConfig,
     CampaignReport,
@@ -32,6 +34,17 @@ class TestGenerateSchedules:
         a = generate_schedules(small_config())
         b = generate_schedules(small_config(root_seed=6))
         assert all(x.digest() != y.digest() for x, y in zip(a, b))
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("overrides", [
+        {"n_schedules": 0}, {"n_schedules": -3},
+        {"workers": 0}, {"workers": -1},
+    ])
+    def test_rejects_counts_below_one(self, overrides):
+        (name,) = overrides
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            small_config(**overrides)
 
 
 class TestShardInvariance:

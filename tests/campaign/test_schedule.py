@@ -136,6 +136,8 @@ class TestEnvelope:
         {"sim_budget_s": -1.0},
         {"min_duration_s": 90.0, "max_duration_s": 10.0},
         {"min_crash_outage_s": float("nan")},
+        {"min_duration_s": 0.0001, "max_duration_s": 0.0002},
+        {"min_crash_outage_s": 0.0},
         {"min_loss_rate": -0.1},
         {"max_overload_factor": float("nan")},
         {"min_burst_fraction": 0.5, "max_burst_fraction": 0.2},

@@ -136,6 +136,16 @@ class TestCli:
         assert code == 2
         assert "sim_budget_s must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,count,field", [
+        ("--schedules", "-3", "n_schedules"),
+        ("--workers", "-1", "workers"),
+    ])
+    def test_bad_count_exits_two_with_the_message(self, flag, count, field,
+                                                  capsys):
+        code = campaign_main(["run", "--schedules", "1", flag, count])
+        assert code == 2
+        assert f"{field} must be >= 1" in capsys.readouterr().err
+
     def test_clean_run_exits_zero(self, tmp_path):
         code = campaign_main([
             "run", "--seed", "0", "--schedules", "2",

@@ -1,11 +1,9 @@
-"""Golden-trace regression tests: every domain scenario, structurally.
+"""The golden corpus and its structural diff.
 
-Each test re-runs one canonical scenario from
-``repro.observability.scenarios`` and diffs its span trace, metrics
-snapshot, and summary against the blessed document in ``tests/golden/``.
-A failure means domain behavior changed: read the printed span diff, and
-if the change is intended, re-bless with
-``python -m repro.observability.golden --update`` and commit the diff.
+Each scenario is diffed structurally against its committed document
+here and byte for byte in ``test_golden_guard.py``; both read one
+shared recapture (the ``recapture`` fixture). The other tests cover the
+corpus's reach and the diff it prints on a failure.
 """
 
 import copy
@@ -17,8 +15,9 @@ from repro.observability.scenarios import SCENARIOS
 
 
 @pytest.mark.parametrize("name", list(SCENARIOS))
-def test_scenario_matches_golden_trace(name):
-    diffs = golden.check(name)
+def test_scenario_matches_golden_trace(name, recapture):
+    diffs = golden.clip_diffs(
+        golden.diff_documents(golden.load(name), recapture(name)))
     assert not diffs, (
         f"scenario {name!r} diverged from its golden trace "
         f"({len(diffs)} differences):\n  " + "\n  ".join(diffs))
@@ -31,16 +30,6 @@ def test_corpus_covers_all_domains():
         doc = golden.load(name)
         domains |= {s["domain"] for s in doc["trace"]["spans"]}
     assert len(domains) >= 6, f"only {sorted(domains)}"
-
-
-def test_committed_documents_are_canonical():
-    # Files must be byte-identical to the canonical serialization of
-    # their own content — no hand-edited or re-formatted documents.
-    for name in SCENARIOS:
-        path = golden.golden_path(name)
-        doc = golden.load(name)
-        assert path.read_text() == golden.document_json(doc), (
-            f"{path} is not canonically serialized; re-bless it")
 
 
 class TestStructuralDiff:

@@ -1,14 +1,16 @@
-"""Byte-identical golden-trace guard for the kernel speed rearchitecture.
+"""Golden-trace guard: every scenario re-captures its committed document
+byte for byte.
 
-The existing golden tests (`test_golden.py`) compare *structured* documents
-via :func:`repro.observability.golden.diff_documents`, which tolerates
-benign formatting drift.  This guard is stricter: it re-runs every scenario
-against the live kernel and asserts the canonical serialization of the
-freshly captured document is **byte-for-byte identical** to the committed
-file.  Any kernel change that perturbs event ordering, timestamps, trace
-content, or serialization shows up here as a hard failure, making this the
-conformance backstop for hot-path optimisations (two-tier dispatch, packed
-heap entries, batched tickers).
+Each test re-runs one canonical scenario from
+``repro.observability.scenarios`` against the live kernel and requires
+the canonical serialization of the fresh document to equal the committed
+file in ``tests/golden/``. That is stricter than the structural diff of
+:func:`repro.observability.golden.diff_documents`, and it also requires
+every committed file to be canonically serialized. Any change to event
+ordering, timestamps, trace content, metrics or serialization fails here;
+the failure message carries the structural diff. If the change is
+intended, re-bless with ``python -m repro.observability.golden --update``
+and commit the diff.
 """
 
 from __future__ import annotations
@@ -20,15 +22,20 @@ from repro.observability.scenarios import SCENARIOS
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_recaptured_trace_is_byte_identical(name: str) -> None:
+def test_recaptured_trace_is_byte_identical(name: str, recapture) -> None:
     path = golden.golden_path(name)
     assert path.exists(), (
         f"missing golden document for {name!r}; bless it with "
         f"`python -m repro.observability.golden --update {name}`"
     )
-    fresh = golden.document_json(golden.capture(name))
+    doc = recapture(name)
     committed = path.read_text()
-    assert fresh == committed, (
-        f"scenario {name!r} no longer reproduces its committed golden "
-        f"document byte-for-byte; the kernel's observable behavior drifted"
-    )
+    if golden.document_json(doc) != committed:
+        diffs = golden.diff_documents(golden.load(name), doc)
+        pytest.fail(
+            f"scenario {name!r} no longer reproduces its committed golden "
+            f"document byte-for-byte ({len(diffs)} structural differences):"
+            "\n  " + "\n  ".join(
+                golden.clip_diffs(diffs)
+                or ["none: the committed file is not canonically "
+                    "serialized; re-bless it"]))

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.analysis.sanitizers import TraceDigest
 from repro.cluster import Cluster
+from repro.observability import MetricsRegistry, Tracer
 from repro.scheduling import (
     BackfillPolicy,
     ClusterSimulator,
@@ -389,6 +391,37 @@ class TestWorkflowUnlock:
         assert [t.task_id for t in sim.finished] == [
             b.task_id, a.task_id, c.task_id]
         assert sim.submitted == len(sim.finished) == 3
+
+
+class TestAllocationHandoff:
+    def test_closing_cut_processes_moves_no_digest_or_book(self):
+        """``_execute`` releases its allocation in a ``finally``, which
+        also fires when a run cut mid-task has its processes closed (as
+        garbage collection does). That release touches the machine only:
+        no event, span, metric or scheduler ledger moves."""
+        digest = TraceDigest()
+        tracer, registry = Tracer(name="cut"), MetricsRegistry()
+        with Environment.traced(digest):
+            env = Environment()
+            cluster = Cluster.homogeneous("c", 2, cores=2)
+            sim = ClusterSimulator(env, cluster, FCFSPolicy(),
+                                   tracer=tracer, registry=registry)
+            sim.submit_jobs([bag([10, 100, 100, 100, 100])])
+            env.run(until=50.0)
+
+        def books():
+            return (digest.hexdigest(), digest.events, tracer.to_json(),
+                    registry.snapshot(), sorted(sim.running),
+                    len(sim.finished), sim.goodput_core_s,
+                    sim.wasted_core_s)
+
+        before = books()
+        assert len(sim.running) == 4
+        assert sum(m.used_cores for m in cluster.machines) == 4
+        for proc in sim._procs.values():
+            proc._generator.close()
+        assert books() == before
+        assert sum(m.used_cores for m in cluster.machines) == 0
 
 
 class TestRandomPolicySimulation:
