@@ -19,7 +19,7 @@ Every workload is a pure function of its size parameters — no RNG
 streams, no wall clock inside the sim — so event counts are identical
 run to run and across kernel versions; only the wall time varies.
 
-Results go to ``benchmarks/results/BENCH_kernel.json`` together with a
+Results go to ``benchmarks/BENCH_kernel.json`` together with a
 *calibration score* (a fixed pure-Python workload timed on the same
 machine) so the CI perf ratchet can compare normalized throughput
 (events per calibration unit) across machines of different speeds::
@@ -52,8 +52,7 @@ except ImportError:
 
 from repro.sim import Environment, Resource  # noqa: E402
 
-RESULTS_PATH = (Path(__file__).resolve().parent / "results"
-                / "BENCH_kernel.json")
+RECORD_PATH = Path(__file__).resolve().parent / "BENCH_kernel.json"
 
 #: Bump when workload shapes or sizes change (invalidates the baseline
 #: block and the perf floor).
@@ -310,11 +309,11 @@ def main(argv=None) -> int:
                              "print only; --update writes the canonical "
                              "results file)")
     parser.add_argument("--update", action="store_true",
-                        help=f"refresh {RESULTS_PATH.name} in place, "
+                        help=f"refresh {RECORD_PATH.name} in place, "
                              "preserving its baseline block")
     parser.add_argument("--as-baseline", metavar="LABEL",
                         help=f"record this run as the baseline block of "
-                             f"{RESULTS_PATH.name} (run with PYTHONPATH "
+                             f"{RECORD_PATH.name} (run with PYTHONPATH "
                              "pointing at the pre-rearchitecture kernel; "
                              "LABEL names the kernel, e.g. a commit hash)")
     args = parser.parse_args(argv)
@@ -332,19 +331,19 @@ def main(argv=None) -> int:
     out = args.out
     if args.as_baseline:
         doc["kernel"] = args.as_baseline
-        merged = (json.loads(RESULTS_PATH.read_text())
-                  if RESULTS_PATH.exists() else {})
+        merged = (json.loads(RECORD_PATH.read_text())
+                  if RECORD_PATH.exists() else {})
         merged["baseline"] = doc
         merged.pop("speedup_vs_baseline", None)
-        RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
-        RESULTS_PATH.write_text(
+        RECORD_PATH.parent.mkdir(parents=True, exist_ok=True)
+        RECORD_PATH.write_text(
             json.dumps(merged, indent=1, sort_keys=True) + "\n")
-        print(f"recorded baseline block in {RESULTS_PATH}")
+        print(f"recorded baseline block in {RECORD_PATH}")
         return 0
     if args.update:
-        out = RESULTS_PATH
-        if RESULTS_PATH.exists():
-            previous = json.loads(RESULTS_PATH.read_text())
+        out = RECORD_PATH
+        if RECORD_PATH.exists():
+            previous = json.loads(RECORD_PATH.read_text())
             for key in ("baseline", "speedup_vs_baseline"):
                 if key in previous:
                     doc[key] = previous[key]

@@ -8,69 +8,57 @@ is cheap. Three questions, one table:
 3. How fast do trace serialization and digesting scale with span count?
 """
 
-import time
-
 from repro.faults.chaos import run_serverless_scenario
 from repro.observability import MetricsRegistry, SimProfiler, Tracer
 
 
-def _timed(fn):
-    start = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - start
-
-
-def bench_instrumentation_overhead(benchmark, report, table):
+def bench_instrumentation_overhead(benchmark, report, table, timed):
     kwargs = dict(seed=211, error_rate=0.15, retry=True, n_invocations=800)
 
-    def run_all():
-        # Untimed warm-up: the first run pays imports and cold caches,
-        # which would otherwise be billed to ``bare`` alone.
-        run_serverless_scenario(**kwargs)
-        out = {}
-        out["bare"] = _timed(lambda: run_serverless_scenario(**kwargs))
-
+    def traced():
         tracer, registry = Tracer(name="bench"), MetricsRegistry()
-        out["traced"] = _timed(lambda: run_serverless_scenario(
-            tracer=tracer, registry=registry, **kwargs))
-        out["_tracer"] = tracer
+        return run_serverless_scenario(tracer=tracer, registry=registry,
+                                       **kwargs), tracer
 
+    def profiled():
         profiler = SimProfiler()
         with profiler:
-            out["profiled"] = _timed(lambda: run_serverless_scenario(**kwargs))
-        out["_profiler"] = profiler
-        return out
+            return run_serverless_scenario(**kwargs), profiler
 
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    tracer = results.pop("_tracer")
-    profiler = results.pop("_profiler")
-    serialized, json_s = _timed(tracer.to_json)
-    _, digest_s = _timed(tracer.digest)
+    def run_all():
+        return (timed(lambda: run_serverless_scenario(**kwargs)),
+                timed(traced), timed(profiled))
+
+    ((bare, _, bare_s), ((traced_out, tracer), _, traced_s),
+     ((profiled_out, profiler), _, profiled_s)) = benchmark.pedantic(
+        run_all, rounds=1, iterations=1)
+    serialized, _, json_s = timed(tracer.to_json)
+    _, _, digest_s = timed(tracer.digest)
 
     # Only deterministic columns are committed; host wall times vary from
     # run to run, so they go to stdout.
-    bare_s = max(results["bare"][1], 1e-9)
-    for name, (_, wall_s) in results.items():
+    bare_s = max(bare_s, 1e-9)
+    for name, wall_s in (("bare", bare_s), ("traced", traced_s),
+                         ("profiled", profiled_s)):
         print(f"{name}: {wall_s * 1000:.1f} ms ({wall_s / bare_s:.2f}x bare)")
     print(f"serialize+digest: {(json_s + digest_s) * 1000:.2f} ms")
-    details = {
-        "bare": "-",
-        "traced": f"{len(tracer.spans)} spans, "
-                  f"{len(serialized) / 1024:.0f} KiB serialized",
-        "profiled": f"{profiler.dispatches} dispatches profiled",
-    }
-    rows = [[name, f"{outcome['slo_attainment']:.3f}", details[name]]
-            for name, (outcome, _) in results.items()]
+    rows = [
+        ["bare", f"{bare['slo_attainment']:.3f}", "-"],
+        ["traced", f"{traced_out['slo_attainment']:.3f}",
+         f"{len(tracer.spans)} spans, "
+         f"{len(serialized) / 1024:.0f} KiB serialized"],
+        ["profiled", f"{profiled_out['slo_attainment']:.3f}",
+         f"{profiler.dispatches} dispatches profiled"],
+    ]
     report("observability_overhead",
            "What spans, metrics and the profiler record on a serverless "
            "run",
            table(["scenario", "SLO attainment", "recorded"], rows))
 
     # Instrumentation must never change behavior, only record it.
-    assert results["traced"][0]["slo_attainment"] == \
-        results["bare"][0]["slo_attainment"]
+    assert traced_out["slo_attainment"] == bare["slo_attainment"]
     assert len(tracer.spans) == kwargs["n_invocations"]
     # ...and must stay cheap enough to leave on (generous CI-noise slack).
-    assert results["traced"][1] < 10 * bare_s
-    assert results["profiled"][1] < 10 * bare_s
+    assert traced_s < 10 * bare_s
+    assert profiled_s < 10 * bare_s
     assert profiler.dispatches > 0

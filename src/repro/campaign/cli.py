@@ -146,7 +146,8 @@ def main(argv: Optional[list] = None) -> int:
     p_run.add_argument("--schedules", type=int, default=200,
                        help="number of schedules (default 200)")
     p_run.add_argument("--workers", type=int, default=1,
-                       help="shard worker processes (default 1)")
+                       help="shards to deal the schedules into, run on "
+                            "at most one process per CPU (default 1)")
     p_run.add_argument("--worlds", default="partition,failover",
                        help="comma-separated worlds "
                             "(default partition,failover)")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -191,7 +192,10 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     if workers == 1 or len(payloads) <= 1:
         shard_rows = [_execute_shard(p) for p in payloads]
     else:
-        with multiprocessing.Pool(processes=len(payloads)) as pool:
+        # Shards are dealt by schedule index whatever the worker count;
+        # more processes than cores would only contend for them.
+        processes = min(len(payloads), os.cpu_count() or 1)
+        with multiprocessing.Pool(processes=processes) as pool:
             shard_rows = pool.map(_execute_shard, payloads)
     rows = [row for shard in shard_rows for row in shard]
     rows.sort(key=lambda row: row["verdict"]["index"])

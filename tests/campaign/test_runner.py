@@ -9,6 +9,7 @@ from repro.campaign import (
     generate_schedules,
     run_campaign,
 )
+from repro.campaign import runner
 
 
 def small_config(**overrides):
@@ -60,6 +61,36 @@ class TestShardInvariance:
         report = run_campaign(small_config(n_schedules=2, workers=8))
         assert len(report.verdicts) == 2
         assert [v.index for v in report.verdicts] == [0, 1]
+
+    @pytest.mark.parametrize("cpus, processes", [(2, 2), (None, 1), (64, 4)])
+    def test_pool_has_at_most_one_process_per_cpu(self, monkeypatch, cpus,
+                                                  processes):
+        """8 workers deal 4 schedules into 4 shards; the pool that runs
+        them opens no more processes than the host has CPUs."""
+        opened = []
+
+        class InProcessPool:
+            # Records the size it was asked for and maps in this process,
+            # so the test never starts the processes the cap refuses.
+            def __init__(self, processes):
+                opened.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads):
+                return [fn(payload) for payload in payloads]
+
+        monkeypatch.setattr(runner.multiprocessing, "Pool", InProcessPool)
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
+        sharded = run_campaign(small_config(n_schedules=4, workers=8))
+        assert opened == [processes]
+        sequential = run_campaign(small_config(n_schedules=4, workers=1))
+        assert [v.as_dict() for v in sharded.verdicts] == \
+            [v.as_dict() for v in sequential.verdicts]
 
 
 class TestCampaignReport:

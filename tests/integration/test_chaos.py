@@ -1,16 +1,12 @@
 """Acceptance test for the fault-injection & resilience subsystem.
 
-The ISSUE's contract: with faults on and resilience off, SLO attainment
+The contract: with faults on and resilience off, SLO attainment
 measurably degrades; with retry (serverless) and requeue (scheduling) it
-recovers to >= 95% of the fault-free baseline; and everything replays
-deterministically under a fixed seed.
+recovers to >= 95% of the fault-free baseline. Replay under a fixed seed
+is checked by the rows of the table in ``test_determinism.py``.
 """
 
-from repro.faults.chaos import (
-    run_chaos_matrix,
-    run_scheduling_scenario,
-    run_serverless_scenario,
-)
+from repro.faults.chaos import run_scheduling_scenario, run_serverless_scenario
 
 SEED = 7
 
@@ -28,11 +24,6 @@ class TestServerlessRecovery:
         assert (recovered["slo_attainment"]
                 >= 0.95 * baseline["slo_attainment"])
 
-    def test_deterministic_under_fixed_seed(self):
-        a = run_serverless_scenario(seed=SEED, error_rate=0.3, retry=True)
-        b = run_serverless_scenario(seed=SEED, error_rate=0.3, retry=True)
-        assert a == b
-
 
 class TestSchedulingRecovery:
     def test_degradation_and_recovery(self):
@@ -46,17 +37,3 @@ class TestSchedulingRecovery:
                 >= 0.95 * baseline["slo_attainment"])
         # The recovery is not free: restarts burn wasted core-seconds.
         assert recovered["wasted_core_s"] > 0
-
-    def test_deterministic_under_fixed_seed(self):
-        a = run_scheduling_scenario(seed=SEED, mtbf_s=400.0, requeue=True)
-        b = run_scheduling_scenario(seed=SEED, mtbf_s=400.0, requeue=True)
-        assert a == b
-
-
-def test_full_matrix_is_deterministic():
-    a = run_chaos_matrix(seed=3, serverless_error_rates=(0.0, 0.3),
-                         scheduling_mtbfs=(None, 500.0))
-    b = run_chaos_matrix(seed=3, serverless_error_rates=(0.0, 0.3),
-                         scheduling_mtbfs=(None, 500.0))
-    assert a.rows() == b.rows()
-    assert [o.details for o in a.outcomes] == [o.details for o in b.outcomes]

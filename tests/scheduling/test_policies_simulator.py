@@ -153,6 +153,28 @@ class TestSimulator:
         # And did not delay the head: head starts when blocker ends.
         assert head.start_time == pytest.approx(100.0)
 
+    def test_easy_shadow_is_the_release_that_frees_exactly_enough(self):
+        """The head needs exactly the cores the first estimated release
+        frees: the shadow is that release, so a candidate whose estimate
+        ends after it must wait instead of backfilling."""
+        env = Environment()
+        sim = ClusterSimulator(env, Cluster.homogeneous("c", 1, cores=4),
+                               BackfillPolicy())
+        blocker = Task(work=100, cores=3)
+        head = Task(work=50, cores=4)
+        late = Task(work=150, cores=1)
+        for t in (blocker, head, late):
+            t.runtime_estimate = t.work
+        sim.submit_jobs([BagOfTasks([blocker], submit_time=0),
+                         BagOfTasks([head], submit_time=1),
+                         BagOfTasks([late], submit_time=2)])
+        env.run(until=3)
+        assert sim._earliest_head_start(head) == pytest.approx(100.0)
+        assert late.start_time is None
+        env.run()
+        assert head.start_time == pytest.approx(100.0)
+        assert late.start_time == pytest.approx(head.finish_time)
+
     def test_fcfs_does_not_backfill(self):
         cluster = Cluster.homogeneous("c", 1, cores=4)
         blocker = Task(work=100, cores=3)

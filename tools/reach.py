@@ -7,9 +7,7 @@ Run from the repository root::
 
 The run takes about 2.5 minutes on a 2-core VM, about 80 s of them in
 the paper benches. It writes a JSON report with the totals, the unreached
-body lines per package and per file, and the unreached functions. The
-benches rewrite the wall-clock columns of ``benchmarks/results/``, so
-run it on a scratch checkout or restore those files afterwards.
+body lines per package and per file, and the unreached functions.
 
 How it measures. Each entry point runs in its own subprocess under a
 global trace hook (``sys.settrace`` and ``threading.settrace``). The
