@@ -46,7 +46,7 @@ def evaluate(candidate) -> float:
     jobs = generate_domain_workload(rng, "scientific", n_jobs=12,
                                     horizon_s=90 * 86400)
     rescale_to_load(jobs, cluster, target_load=2.0)
-    policy = make_policy(candidate["policy"], rng)
+    policy = make_policy(candidate["policy"])
     metrics = simulate_schedule(jobs, cluster, policy)
     return 1.0 / metrics.mean_bounded_slowdown
 

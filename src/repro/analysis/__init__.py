@@ -32,6 +32,7 @@ _LAZY = {
     "lint_file": "lint", "lint_paths": "lint", "lint_sources": "lint",
     "main": "lint",
     "DeterminismSanitizer": "sanitizers", "DeterminismViolation": "sanitizers",
+    "Livelock": "sanitizers",
     "ResourceLeakError": "sanitizers", "ResourceLeakSanitizer": "sanitizers",
     "SharedStateSanitizer": "sanitizers", "SharedStateViolation": "sanitizers",
     "TraceDigest": "sanitizers",
@@ -58,6 +59,7 @@ __all__ = [
     "DeterminismViolation",
     "Finding",
     "LAYERS",
+    "Livelock",
     "PROJECT_RULES",
     "Project",
     "ResourceLeakError",

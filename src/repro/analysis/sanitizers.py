@@ -22,15 +22,21 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import signal
 import struct
+import threading
 import weakref
-from typing import Any, Callable, Optional
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator, Optional
 
 from repro.sim.environment import Environment
 
 __all__ = [
     "DeterminismSanitizer",
     "DeterminismViolation",
+    "LIVELOCK_DISPATCHES",
+    "Livelock",
+    "STALL_CPU_S",
     "ResourceLeakError",
     "ResourceLeakSanitizer",
     "SharedStateSanitizer",
@@ -55,6 +61,44 @@ class ResourceLeakError(AssertionError):
 _EVENT_PREFIX = struct.Struct("<dQ")
 
 
+#: Dispatches in a row at one sim time after which a traced run is a
+#: livelock. Correct traced runs stay far below it: the longest such
+#: run is 84 dispatches in the paper benches, 77 in the determinism
+#: table, 66 over the 40 perfbench campaign schedules and 35 over the
+#: golden seed sweep 7-22. The bound is over 1000x the largest, and a
+#: livelocked run reaches it in well under a second.
+LIVELOCK_DISPATCHES = 100_000
+
+#: Dispatches past the bound whose kinds are counted, to name the
+#: dominant one in the error.
+_LIVELOCK_SAMPLE = 1_000
+
+#: CPU seconds a guarded run may spend with no dispatch before it is a
+#: livelock: a process that loops without yielding never hands control
+#: back, so no dispatch count can see it. One dispatch of a correct run
+#: takes milliseconds.
+STALL_CPU_S = 2.0
+
+#: CPU seconds between :meth:`TraceDigest.stall_guard`'s progress checks.
+_STALL_TICK_S = 0.05
+
+
+class Livelock(RuntimeError):
+    """A traced run stopped making progress.
+
+    ``until=`` and a campaign's sim-time budget bound only sim time, so a
+    process loop that yields zero-delay events at one instant, or one
+    that never yields at all, would run forever. :class:`TraceDigest`
+    raises this instead, naming the stuck sim time and, when events kept
+    being dispatched, the kind dispatched most there.
+    """
+
+
+class _Stalled(BaseException):
+    """Raised by the stall guard's timer. A ``BaseException``, so the
+    process resume it lands in does not turn it into a process failure."""
+
+
 class TraceDigest:
     """A streaming SHA-256 digest over dispatched events.
 
@@ -63,6 +107,10 @@ class TraceDigest:
     pack("<Q", eid) + kind.encode()`` (UTF-8), with no separators. ``keep``
     retains the first N raw events so a mismatch can be localized, without
     storing whole traces.
+
+    It also counts the dispatches since the dispatch time last changed,
+    and raises :class:`Livelock` once that count passes
+    :data:`LIVELOCK_DISPATCHES`.
     """
 
     def __init__(self, keep: int = 64):
@@ -70,15 +118,72 @@ class TraceDigest:
         self.events = 0
         self.keep = keep
         self.head: list[tuple[float, int, str]] = []
+        self._instant = float("nan")
+        self._stalled = 0
+        self._stalled_kinds: dict[str, int] = {}
 
     def __call__(self, t: float, eid: int, kind: str) -> None:
         self._hash.update(_EVENT_PREFIX.pack(t, eid) + kind.encode())
         if self.events < self.keep:
             self.head.append((t, eid, kind))
         self.events += 1
+        if t != self._instant:
+            self._instant = t
+            self._stalled = 0
+            return
+        self._stalled += 1
+        if self._stalled > LIVELOCK_DISPATCHES:
+            if self._stalled == LIVELOCK_DISPATCHES + 1:
+                self._stalled_kinds = {}
+            kinds = self._stalled_kinds
+            kinds[kind] = kinds.get(kind, 0) + 1
+            if self._stalled == LIVELOCK_DISPATCHES + _LIVELOCK_SAMPLE:
+                dominant = max(sorted(kinds), key=kinds.__getitem__)
+                raise Livelock(
+                    f"livelock at sim time {t:.3f}: {self._stalled} "
+                    f"dispatches without the clock advancing, mostly "
+                    f"{dominant!r} events")
 
     def hexdigest(self) -> str:
         return self._hash.hexdigest()
+
+    @contextmanager
+    def stall_guard(self) -> Iterator["TraceDigest"]:
+        """Raise :class:`Livelock` if the block dispatches nothing for
+        :data:`STALL_CPU_S` of CPU time.
+
+        A CPU-time timer (``SIGVTALRM``) checks every
+        ``_STALL_TICK_S`` whether this digest saw a dispatch since the
+        last check. Only a dispatch that never returns trips it, so the
+        verdict and the digest at the raise do not depend on the host.
+        Off the main thread, where no signal can be delivered, the block
+        runs unguarded.
+        """
+        if threading.current_thread() is not threading.main_thread():
+            yield self
+            return
+        seen = [self.events, 0]  # events at the last check, idle checks
+
+        def check(signum, frame):
+            if self.events != seen[0]:
+                seen[0], seen[1] = self.events, 0
+                return
+            seen[1] += 1
+            if seen[1] * _STALL_TICK_S >= STALL_CPU_S:
+                raise _Stalled()
+
+        previous = signal.signal(signal.SIGVTALRM, check)
+        signal.setitimer(signal.ITIMER_VIRTUAL, _STALL_TICK_S, _STALL_TICK_S)
+        try:
+            yield self
+        except _Stalled:
+            raise Livelock(
+                f"livelock at sim time {self._instant:.3f}: no dispatch "
+                f"returned in {STALL_CPU_S:g} s of CPU time (a process "
+                "loops without yielding)") from None
+        finally:
+            signal.setitimer(signal.ITIMER_VIRTUAL, 0.0)
+            signal.signal(signal.SIGVTALRM, previous)
 
 
 def _first_divergence(a: "TraceDigest", b: "TraceDigest") -> str:

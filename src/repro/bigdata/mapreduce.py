@@ -232,10 +232,6 @@ class MRSimulator:
                           >= busy_threshold else None)
         return series
 
-    def mean_makespan(self) -> float:
-        spans = [j.makespan for j in self.jobs if j.makespan is not None]
-        return float(np.mean(spans)) if spans else float("nan")
-
     def mean_slowdown(self, solo_makespans: dict[str, float]) -> float:
         """Mean makespan ratio vs uncontended (solo) runs."""
         ratios = [j.makespan / solo_makespans[j.name]

@@ -4,13 +4,18 @@ A campaign run is only as strong as its oracles. Each
 :class:`FaultSchedule` executes against its composed world with the
 :class:`~repro.invariants.InvariantEngine` in survey mode over the full
 ``standard_laws`` catalog, and the :class:`OracleStack` then judges the
-run on four axes:
+run on these axes:
 
 - **safety** — zero conservation-law violations in the survey log, and
   (failover world) zero split-brain writes and at most one leader per
   term;
 - **liveness** — the run closes its books (``all_done``) within the
   schedule's sim-time budget and loses zero tasks;
+- **progress** — the run keeps making progress: a run that dispatches
+  :data:`~repro.analysis.sanitizers.LIVELOCK_DISPATCHES` events at one
+  sim time, or whose one dispatch never returns, stops with a
+  ``progress`` failure instead of hanging, and the other oracles have
+  no result to judge;
 - **determinism** — an optional :class:`DeterminismSanitizer`-style
   double run: the same schedule executed twice must produce the same
   event-trace digest and the same result dict.
@@ -24,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.analysis.sanitizers import TraceDigest
+from repro.analysis.sanitizers import Livelock, TraceDigest
 from repro.campaign.schedule import FaultSchedule
 from repro.faults.chaos import run_failover_scenario, run_partition_scenario
 from repro.sim import Environment, MetricsRegistry
@@ -122,12 +127,18 @@ def standard_oracles(world: Optional[str] = None) -> tuple:
 
 @dataclass
 class CampaignRun:
-    """One traced execution of a schedule: result + digests + metrics."""
+    """One traced execution of a schedule: result + digests + metrics.
+
+    ``livelock`` is the :class:`~repro.analysis.sanitizers.Livelock`
+    message of a run whose clock stopped advancing (its ``result`` is
+    then empty), else ``None``.
+    """
 
     result: dict
     trace_digest: str
     trace_events: int
     metrics: dict
+    livelock: Optional[str] = None
 
 
 def execute_schedule(schedule: FaultSchedule,
@@ -142,14 +153,21 @@ def execute_schedule(schedule: FaultSchedule,
     """
     registry = MetricsRegistry()
     digest = TraceDigest()
+    result: dict = {}
+    livelock = None
     with Environment.traced(digest):
-        result = WORLD_RUNNERS[schedule.world](
-            seed=schedule.seed, episodes=schedule.episodes,
-            sim_budget_s=schedule.sim_budget_s, invariant_halt=False,
-            registry=registry, **(extra_world_kwargs or {}))
+        try:
+            with digest.stall_guard():
+                result = WORLD_RUNNERS[schedule.world](
+                    seed=schedule.seed, episodes=schedule.episodes,
+                    sim_budget_s=schedule.sim_budget_s,
+                    invariant_halt=False, registry=registry,
+                    **(extra_world_kwargs or {}))
+        except Livelock as err:
+            livelock = str(err)
     return CampaignRun(result=result, trace_digest=digest.hexdigest(),
                        trace_events=digest.events,
-                       metrics=registry.snapshot())
+                       metrics=registry.snapshot(), livelock=livelock)
 
 
 def merge_metrics(snapshots) -> dict:
@@ -262,6 +280,10 @@ class OracleStack:
                    else standard_oracles(schedule.world))
         failures: list[str] = []
         details: dict[str, str] = {}
+        if run.livelock is not None:
+            failures.append("progress")
+            details["progress"] = run.livelock
+            oracles = ()
         for oracle in oracles:
             if not oracle.applies_to(schedule.world):
                 continue

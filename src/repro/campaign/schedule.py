@@ -113,13 +113,6 @@ class FaultSchedule:
         """SHA-256 of the canonical JSON: the schedule's identity."""
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
-    def dumps(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def loads(cls, text: str) -> "FaultSchedule":
-        return cls.from_dict(json.loads(text))
-
 
 # -- generation -------------------------------------------------------------
 

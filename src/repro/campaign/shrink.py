@@ -58,10 +58,6 @@ class ShrinkResult:
     executions: int = 0
     trace_digest: str = ""
 
-    @property
-    def episodes_removed(self) -> int:
-        return len(self.original.episodes) - len(self.minimal.episodes)
-
 
 class _Shrinker:
     def __init__(self, stack: OracleStack, target_failures: frozenset,

@@ -118,8 +118,3 @@ class Machine:
     def runtime_of(self, work: float) -> float:
         """Wall-clock time for ``work`` normalized work units."""
         return work / self.speed
-
-    @property
-    def utilization(self) -> float:
-        """Instantaneous core utilization in [0, 1]."""
-        return self.used_cores / self.cores

@@ -93,14 +93,9 @@ def run_serverless_scenario(seed: int = 0, error_rate: float = 0.0,
         retry_rng=streams.get("retry-jitter"),
         tracer=tracer, registry=registry)
     platform.deploy(FunctionSpec("f", runtime_s=runtime_s, memory_gb=0.5))
-    arrivals = streams.get("serverless-arrivals")
-
-    def driver(env):
-        for _ in range(n_invocations):
-            yield env.timeout(float(arrivals.exponential(1.0 / rate_per_s)))
-            platform.invoke("f")
-
-    env.process(driver(env))
+    env.process(_arrivals(env, streams.get("serverless-arrivals"),
+                          n_invocations, rate_per_s, (),
+                          lambda: platform.invoke("f")))
     # Enough slack past the last arrival for retries to drain.
     env.run(until=n_invocations / rate_per_s + 120.0)
     monitor = platform.monitor
@@ -155,14 +150,9 @@ def run_overload_scenario(seed: int = 0, admission: bool = False,
         admitter=admitter, shedder=shedder, brownout=brownout,
         tracer=tracer, registry=registry)
     platform.deploy(FunctionSpec("f", runtime_s=runtime_s, memory_gb=0.5))
-    arrivals = streams.get("overload-arrivals")
-
-    def driver(env):
-        for _ in range(n_invocations):
-            yield env.timeout(float(arrivals.exponential(1.0 / rate_per_s)))
-            platform.invoke("f")
-
-    env.process(driver(env))
+    env.process(_arrivals(env, streams.get("overload-arrivals"),
+                          n_invocations, rate_per_s, (),
+                          lambda: platform.invoke("f")))
     duration = n_invocations / rate_per_s + 30.0
     env.run(until=duration)
     if brownout is not None:

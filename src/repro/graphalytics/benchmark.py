@@ -41,14 +41,6 @@ class BenchmarkReport:
     def failures(self) -> list[PlatformRun]:
         return [r for r in self.runs if r.failed]
 
-    def rows(self) -> list[dict]:
-        return [{
-            "platform": r.platform, "algorithm": r.algorithm,
-            "dataset": r.dataset, "time_s": round(r.modeled_time_s, 4),
-            "bottleneck": r.breakdown.bottleneck() if not r.failed
-            else "failed",
-        } for r in self.runs]
-
 
 def run_benchmark(platforms: Optional[Sequence[Platform]] = None,
                   algorithms: Sequence[str] = ("bfs", "pagerank", "wcc",

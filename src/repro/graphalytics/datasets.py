@@ -23,10 +23,6 @@ class DatasetProperties:
     degree_skew: float
     clustering: float
 
-    @property
-    def is_skewed(self) -> bool:
-        return self.degree_skew > 10.0
-
 
 def dataset_properties(name: str, graph: nx.Graph) -> DatasetProperties:
     degrees = [d for _, d in graph.degree()]

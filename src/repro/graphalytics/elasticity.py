@@ -73,12 +73,6 @@ class ElasticRun:
             return 0.0
         return self.used_resource_seconds / self.resource_seconds
 
-    @property
-    def overhead_fraction(self) -> float:
-        if self.makespan_s == 0:
-            return 0.0
-        return self.reconfiguration_time_s / self.makespan_s
-
 
 def run_elastic(job: Sequence[WorkPhase],
                 capacity: Sequence[CapacityPhase],

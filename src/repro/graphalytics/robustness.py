@@ -8,7 +8,7 @@ land on those boundaries and a crash resumes at the last checkpointed
 superstep instead of iteration zero.
 
 :func:`run_supersteps_with_recovery` replays an iterative kernel's
-superstep profile (see :func:`superstep_profile`) under
+superstep profile under
 :class:`~repro.faults.models.CrashRestart` with per-superstep
 checkpointing, accounting lost supersteps, checkpoint overhead, and
 recovery time.
@@ -24,18 +24,6 @@ import numpy as np
 from repro.faults.models import CrashRestart
 from repro.recovery import CheckpointedJob, CheckpointPolicy, CheckpointStore
 from repro.sim import Environment
-
-
-def superstep_profile(run) -> tuple[int, float]:
-    """Derive ``(n_supersteps, seconds_per_superstep)`` from a platform run.
-
-    Iterative Graphalytics kernels report their superstep count in
-    ``result.iterations``; the modeled compute phase spread evenly over
-    them gives the per-superstep cost. Accepts a
-    :class:`~repro.graphalytics.platforms.PlatformRun`.
-    """
-    n = max(1, int(run.result.iterations))
-    return n, run.breakdown.compute_s / n
 
 
 @dataclass
@@ -57,10 +45,6 @@ class SuperstepRecoveryResult:
     checkpoints_written: int
     restores: int
     corrupt_fallbacks: int
-
-    @property
-    def makespan_inflation(self) -> float:
-        return self.makespan_s / self.work_s - 1.0 if self.work_s else 0.0
 
 
 def run_supersteps_with_recovery(

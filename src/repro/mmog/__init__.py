@@ -27,7 +27,6 @@ from repro.mmog.dynamics import (
 from repro.mmog.provisioning import (
     BrownoutProvisioningResult,
     LastValuePredictor,
-    MovingAveragePredictor,
     TrendPredictor,
     ProvisioningResult,
     run_brownout_provisioning,
@@ -69,7 +68,6 @@ __all__ = [
     "InteractionGraph",
     "LastValuePredictor",
     "MirrorOffload",
-    "MovingAveragePredictor",
     "PlayerSession",
     "PointOfInterest",
     "PopulationTrace",

@@ -7,8 +7,7 @@ touch; sampling covers the rest. This module provides:
 
 - a session-log generator with power-law player activity (heavy gamers
   dominate events — the reason naive sampling biases KPIs);
-- exact KPIs: daily active users (DAU), day-over-day retention, and
-  churn;
+- the exact KPI: daily active users (DAU);
 - :class:`CameoAnalytics`: sampled continuous analysis with a cloud cost
   model and the budget → sampling-fraction planning knob, plus the
   accuracy-vs-budget trade-off the paper's design navigates.
@@ -79,26 +78,6 @@ def generate_sessions(rng: np.random.Generator,
 def dau(sessions: Sequence[SessionRecord], day: int) -> int:
     """Distinct players with a session starting on ``day``."""
     return len({s.player for s in sessions if s.day == day})
-
-
-def retention(sessions: Sequence[SessionRecord], day: int) -> float:
-    """Fraction of day-``day`` players active again on day+1."""
-    today = {s.player for s in sessions if s.day == day}
-    tomorrow = {s.player for s in sessions if s.day == day + 1}
-    if not today:
-        return float("nan")
-    return len(today & tomorrow) / len(today)
-
-
-def churned(sessions: Sequence[SessionRecord], day: int,
-            horizon_days: int = 3) -> float:
-    """Fraction of day-``day`` players never seen in the next horizon."""
-    today = {s.player for s in sessions if s.day == day}
-    later = {s.player for s in sessions
-             if day < s.day <= day + horizon_days}
-    if not today:
-        return float("nan")
-    return len(today - later) / len(today)
 
 
 # -- CAMEO: sampled continuous analytics under budget ------------------------

@@ -30,10 +30,6 @@ class PuzzleInstance:
     board: tuple[int, ...]
     difficulty: int  # optimal moves to solve
 
-    @property
-    def solved(self) -> bool:
-        return self.board == SOLVED
-
 
 def _neighbors(board: tuple[int, ...]):
     blank = board.index(0)
@@ -106,17 +102,3 @@ def generate_puzzles(rng: np.random.Generator,
             f"only generated {len(puzzles)}/{count} puzzles in "
             f"{max_attempts} attempts")
     return puzzles
-
-
-def generation_rejection_rate(rng: np.random.Generator,
-                              difficulty_band: tuple[int, int],
-                              samples: int = 200) -> float:
-    """Fraction of generated candidates that fall outside the band."""
-    lo, hi = difficulty_band
-    rejected = 0
-    for _ in range(samples):
-        board = scramble(rng, walk_length=int(rng.integers(lo, 2 * hi)))
-        difficulty = puzzle_difficulty(board, max_depth=hi)
-        if difficulty is None or not lo <= difficulty <= hi:
-            rejected += 1
-    return rejected / samples

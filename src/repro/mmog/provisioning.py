@@ -35,23 +35,6 @@ class LastValuePredictor(LoadPredictor):
         return float(history[-1])
 
 
-class MovingAveragePredictor(LoadPredictor):
-    """Mean of the last ``window`` samples."""
-
-    name = "moving-average"
-
-    def __init__(self, window: int = 6):
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.window = window
-
-    def predict(self, history: Sequence[float], horizon: int = 1) -> float:
-        if not len(history):
-            return 0.0
-        tail = list(history)[-self.window:]
-        return float(np.mean(tail))
-
-
 class TrendPredictor(LoadPredictor):
     """Linear extrapolation over the last ``window`` samples — the class of
     predictor the paper's MMOG provisioning used to stay ahead of the
@@ -99,12 +82,6 @@ class ProvisioningResult:
         """Player-seconds above capacity (the degraded-experience mass)."""
         excess = np.maximum(self.demand - self.capacity, 0.0)
         return float(excess.sum() * self.step_s)
-
-    @property
-    def overprovisioned_capacity_time(self) -> float:
-        """Server-player-seconds idle above demand (the waste mass)."""
-        slack = np.maximum(self.capacity - self.demand, 0.0)
-        return float(slack.sum() * self.step_s)
 
     @property
     def mean_utilization(self) -> float:

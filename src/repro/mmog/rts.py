@@ -86,18 +86,6 @@ class AreaOfSimulation:
     def speedup(self) -> float:
         return self.full_cost / max(self.aos_cost, 1e-12)
 
-    def max_supported_entities(self, budget: float,
-                               frame_hz: float = 30.0) -> int:
-        """Background entities supportable within a per-second budget."""
-        per_frame = budget / frame_hz
-        poi_cost = rts_frame_cost(
-            RTSWorkload(pois=self.workload.pois, background_entities=0),
-            uniform_fidelity=False)
-        headroom = per_frame - poi_cost
-        if headroom <= 0:
-            return 0
-        return int(headroom / AGGREGATE_COST)
-
 
 @dataclass
 class MirrorOffload:

@@ -22,14 +22,6 @@ class PlayerSession:
     zone: Optional[str] = None
     end: Optional[float] = None
 
-    @property
-    def active(self) -> bool:
-        return self.end is None
-
-    @property
-    def duration(self) -> Optional[float]:
-        return None if self.end is None else self.end - self.start
-
 
 @dataclass
 class Zone:
@@ -64,10 +56,6 @@ class Zone:
         degradation = min(over / span, 1.0)
         return self.base_tick_hz * (1.0 - 0.7 * degradation)
 
-    @property
-    def overloaded(self) -> bool:
-        return self.population > self.soft_capacity
-
     def try_join(self, session: PlayerSession) -> bool:
         if self.population >= self.hard_capacity:
             return False
@@ -78,4 +66,3 @@ class Zone:
     def leave(self, session: PlayerSession) -> None:
         self.players.discard(session.session_id)
         session.zone = None
-

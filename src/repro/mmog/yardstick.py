@@ -48,10 +48,6 @@ class YardstickReport:
                 return s.population
         return None
 
-    def curve(self) -> list[tuple[int, float]]:
-        return [(s.population, s.tick_hz) for s in self.samples
-                if s.joined]
-
 
 def run_yardstick(zone: Zone, max_bots: int = 500,
                   playability_floor_hz: float = 5.0) -> YardstickReport:

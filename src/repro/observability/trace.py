@@ -10,19 +10,16 @@ same seed, same code, same digest — byte for byte.
 
 Spans deliberately do not use an implicit "current span" stack across
 ``yield`` boundaries: simulation processes interleave, so parenting is
-explicit (``tracer.start_span(..., parent=root)``). The context-manager
-form :meth:`Tracer.span` exists for straight-line (non-yielding)
-regions only.
+explicit (``tracer.start_span(..., parent=root)``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 __all__ = ["Span", "SpanEvent", "Tracer", "TRACE_FORMAT_VERSION"]
 
@@ -84,16 +81,6 @@ class Span:
     @property
     def finished(self) -> bool:
         return self.t_end is not None
-
-    @property
-    def duration(self) -> Optional[float]:
-        if self.t_end is None:
-            return None
-        return self.t_end - self.t_start
-
-    def set_tag(self, key: str, value: Any) -> "Span":
-        self.tags[key] = value
-        return self
 
     def to_dict(self) -> dict:
         out = {
@@ -188,37 +175,9 @@ class Tracer:
         span.events.append(event)
         return event
 
-    @contextmanager
-    def span(self, name: str, domain: Optional[str] = None,
-             parent: Optional[Span] = None,
-             t: Optional[float] = None, **tags: Any) -> Iterator[Span]:
-        """Context-manager span for straight-line regions (no ``yield``\\ s).
-
-        An escaping exception marks the span ``status="error"`` before
-        re-raising.
-        """
-        span = self.start_span(name, domain=domain, parent=parent,
-                               t=t, **tags)
-        # Unbound tracers have no clock to read at exit; a straight-line
-        # region cannot advance time anyway, so it ends where it began.
-        end_t = None if self._env is not None else span.t_start
-        try:
-            yield span
-        except BaseException:
-            self.end_span(span, t=end_t, status="error")
-            raise
-        self.end_span(span, t=end_t)
-
     # -- queries -----------------------------------------------------------
-    def find(self, name: str) -> list[Span]:
-        """All spans with exactly this name, in id (creation) order."""
-        return [s for s in self.spans if s.name == name]
-
     def children(self, span: Span) -> list[Span]:
         return [s for s in self.spans if s.parent_id == span.span_id]
-
-    def open_spans(self) -> list[Span]:
-        return [s for s in self.spans if s.t_end is None]
 
     # -- serialization -----------------------------------------------------
     def to_dict(self) -> dict:

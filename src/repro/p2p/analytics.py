@@ -101,10 +101,6 @@ class Flashcrowd:
     def magnitude(self) -> float:
         return self.peak_rate / max(self.baseline_rate, 1e-12)
 
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
 
 def detect_flashcrowds(arrival_times: Sequence[float],
                        window_s: float = 600.0,

@@ -76,15 +76,6 @@ class BTWorldMonitor:
             yield self.env.timeout(self.interval_s)
 
     # -- aggregate views -----------------------------------------------------
-    def observed_peak(self, torrent_id: str) -> int:
-        sizes = [s.swarm_size for s in self.samples
-                 if s.torrent_id == torrent_id]
-        return max(sizes) if sizes else 0
-
-    def observed_mean(self, torrent_id: str) -> float:
-        sizes = [s.swarm_size for s in self.samples
-                 if s.torrent_id == torrent_id]
-        return float(np.mean(sizes)) if sizes else float("nan")
 
     def total_samples(self) -> int:
         return len(self.samples)

@@ -85,11 +85,5 @@ class Peer:
             return None
         return self.completed_at - self.arrival_time
 
-    @property
-    def sharing_ratio(self) -> float:
-        if self.downloaded_mb <= 0:
-            return float("inf") if self.uploaded_mb > 0 else 0.0
-        return self.uploaded_mb / self.downloaded_mb
-
     def remaining_mb(self, content_size_mb: float) -> float:
         return max(0.0, content_size_mb - self.downloaded_mb)

@@ -58,10 +58,6 @@ class RecoveryStats:
         """Makespan relative to the fault-free, checkpoint-free ideal."""
         return self.makespan_s / self.work_s - 1.0 if self.work_s else 0.0
 
-    @property
-    def overhead_s(self) -> float:
-        return self.makespan_s - self.work_s
-
 
 class CheckpointedJob:
     """Divisible work with checkpoint/restore under fail-stop crashes."""

@@ -201,6 +201,3 @@ class CheckpointStore:
     # -- inspection --------------------------------------------------------
     def __len__(self) -> int:
         return len(self.checkpoints)
-
-    def latest(self) -> Optional[Checkpoint]:
-        return self.checkpoints[-1] if self.checkpoints else None

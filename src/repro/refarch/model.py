@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -44,18 +44,6 @@ class Layer:
             return True
         return any(sub.accepts(comp) for sub in self.sublayers)
 
-    def matching_sublayer(self, comp: Component) -> Optional["Layer"]:
-        for sub in self.sublayers:
-            if sub.concerns & comp.concerns:
-                return sub
-        return None
-
-    def all_concerns(self) -> set[str]:
-        concerns = set(self.concerns)
-        for sub in self.sublayers:
-            concerns |= sub.all_concerns()
-        return concerns
-
 
 class ReferenceArchitecture:
     """A named, versioned stack of layers.
@@ -76,37 +64,6 @@ class ReferenceArchitecture:
         return f"<ReferenceArchitecture {self.name} ({self.era}): " \
                f"{len(self.layers)} layers>"
 
-    @property
-    def core_layers(self) -> list[Layer]:
-        return [l for l in self.layers if not l.orthogonal]
-
-    @property
-    def orthogonal_layers(self) -> list[Layer]:
-        return [l for l in self.layers if l.orthogonal]
-
-    def layer(self, name: str) -> Layer:
-        for layer in self.layers:
-            if layer.name == name:
-                return layer
-        raise KeyError(f"{self.name} has no layer {name!r}")
-
     def place(self, comp: Component) -> list[Layer]:
         """All layers that accept the component (a component may span)."""
         return [layer for layer in self.layers if layer.accepts(comp)]
-
-    def can_place(self, comp: Component) -> bool:
-        return bool(self.place(comp))
-
-    def placement_detail(self, comp: Component
-                         ) -> list[tuple[Layer, Optional[Layer]]]:
-        """(layer, sublayer-or-None) pairs for every accepting layer."""
-        detail = []
-        for layer in self.place(comp):
-            detail.append((layer, layer.matching_sublayer(comp)))
-        return detail
-
-    def all_concerns(self) -> set[str]:
-        concerns: set[str] = set()
-        for layer in self.layers:
-            concerns |= layer.all_concerns()
-        return concerns

@@ -1,7 +1,7 @@
 """Datacenter scheduling and portfolio scheduling (paper §6.6, Table 9).
 
 - :mod:`repro.scheduling.policies` — the scheduling policies a portfolio
-  selects among: FCFS, SJF, LJF, Random, Fair-Share, and EASY-style
+  selects among: FCFS, SJF, LJF, Fair-Share, and EASY-style
   backfilling;
 - :mod:`repro.scheduling.simulator` — an event-driven cluster/job
   simulator executing bags-of-tasks and workflows under a policy, with
@@ -20,7 +20,6 @@ from repro.scheduling.policies import (
     FCFSPolicy,
     LJFPolicy,
     Policy,
-    RandomPolicy,
     SJFPolicy,
 )
 from repro.scheduling.simulator import (
@@ -38,7 +37,6 @@ from repro.scheduling.experiments import (
     ENVIRONMENTS,
     GridCell,
     run_table9_cell,
-    run_table9_grid,
 )
 
 __all__ = [
@@ -55,10 +53,8 @@ __all__ = [
     "PortfolioConfig",
     "PortfolioScheduler",
     "PortfolioStats",
-    "RandomPolicy",
     "SJFPolicy",
     "ScheduleMetrics",
     "run_table9_cell",
-    "run_table9_grid",
     "simulate_schedule",
 ]

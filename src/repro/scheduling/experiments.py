@@ -158,8 +158,7 @@ def run_static(domain: str, environment: str, policy_name: str,
     cluster = ENVIRONMENTS[environment]()
     jobs = _fresh_jobs(domain, seed, n_jobs, cluster)
     env = Environment()
-    policy = make_policy(policy_name,
-                         RandomStreams(seed).get("policy-random"))
+    policy = make_policy(policy_name)
     sim = ClusterSimulator(env, cluster, policy)
     sim.submit_jobs(jobs)
     env.run()
@@ -176,8 +175,7 @@ def run_portfolio(domain: str, environment: str,
     cluster = ENVIRONMENTS[environment]()
     jobs = _fresh_jobs(domain, seed, n_jobs, cluster)
     env = Environment()
-    rng = RandomStreams(seed).get("policy-random")
-    policies = [make_policy(name, rng) for name in policy_names]
+    policies = [make_policy(name) for name in policy_names]
     sim = ClusterSimulator(env, cluster, policies[0])
     portfolio = PortfolioScheduler(env, sim, policies, config)
     sim.submit_jobs(jobs)
@@ -203,11 +201,3 @@ def run_table9_cell(domain: str, environment: str, seed: int = 0,
                     static_results=static,
                     portfolio_result=metrics.objective(),
                     portfolio_stats=stats)
-
-
-def run_table9_grid(seed: int = 0, n_jobs: int = 25,
-                    rows: Sequence[tuple[str, str]] = tuple(TABLE9_ROWS),
-                    ) -> list[GridCell]:
-    """The whole Table 9 grid."""
-    return [run_table9_cell(domain, environment, seed=seed, n_jobs=n_jobs)
-            for domain, environment in rows]

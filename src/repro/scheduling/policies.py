@@ -15,11 +15,8 @@ optimal for a different workload shape.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
-import numpy as np
-
-from repro.sim.rng import RandomStreams
 from repro.workload.task import Task
 
 
@@ -189,31 +186,6 @@ class LJFPolicy(Policy):
         return _ready_queue(queue).view(ljf_key)
 
 
-class RandomPolicy(Policy):
-    """Uniformly random order — Altshuller's 'random design' baseline.
-
-    The simulator calls ``order`` once per scheduling pass, so one pass
-    draws one permutation of the ready queue, taken in arrival order,
-    and dispatches in that order; the next pass draws afresh. A seeded
-    generator replays the same schedule run to run.
-    """
-
-    name = "random"
-
-    def __init__(self, rng: Optional[np.random.Generator] = None):
-        if rng is None:
-            # Determinism contract: default onto a *named* stream rather
-            # than an anonymous generator, so the fallback is reproducible
-            # and isolated from every other stream (simlint SL001).
-            rng = RandomStreams(0).get("scheduling.random-policy")
-        self.rng = rng
-
-    def order(self, queue: Iterable[Task], now: float) -> list[Task]:
-        queue = list(queue)
-        idx = self.rng.permutation(len(queue))
-        return [queue[int(i)] for i in idx]
-
-
 class FairSharePolicy(Policy):
     """Least-served user first (by accumulated core-seconds), then FCFS."""
 
@@ -262,16 +234,12 @@ POLICIES: dict[str, type] = {
     "fcfs": FCFSPolicy,
     "sjf": SJFPolicy,
     "ljf": LJFPolicy,
-    "random": RandomPolicy,
     "fair-share": FairSharePolicy,
     "backfill": BackfillPolicy,
 }
 
 
-def make_policy(name: str,
-                rng: Optional[np.random.Generator] = None) -> Policy:
+def make_policy(name: str) -> Policy:
     if name not in POLICIES:
         raise KeyError(f"unknown policy {name!r}; known: {sorted(POLICIES)}")
-    if name == "random":
-        return RandomPolicy(rng)
     return POLICIES[name]()

@@ -99,12 +99,6 @@ class Invocation:
             return None
         return self.finish_time - self.submit_time
 
-    @property
-    def queue_delay(self) -> Optional[float]:
-        if self.start_time is None:
-            return None
-        return self.start_time - self.submit_time
-
 
 class _Instance:
     """A warm (or warming) instance of one function."""

@@ -101,12 +101,6 @@ def platform_coverage(components: Sequence[str] | frozenset[str]) -> float:
     return len(set(components)) / len(FAAS_COMPONENTS)
 
 
-def missing_components(components: Sequence[str] | frozenset[str]
-                       ) -> list[str]:
-    """Architecture components a platform lacks (benchmark blind spots)."""
-    return sorted(set(FAAS_COMPONENTS) - set(components))
-
-
 def layer_coverage(components: Sequence[str] | frozenset[str]
                    ) -> dict[str, float]:
     """Per-layer coverage — where a platform is strong or absent."""

@@ -391,7 +391,7 @@ class Environment:
                         except StopIteration as stop:
                             retire(queue, entry)
                             obj._finish(stop.value)
-                        except BaseException as err:
+                        except Exception as err:
                             retire(queue, entry)
                             obj._crash(err)
                         else:

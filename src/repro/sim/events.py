@@ -240,7 +240,7 @@ class Process(Event):
                 self._ok = True
                 self._value = stop.value
                 break
-            except BaseException as err:
+            except Exception as err:
                 self._ok = False
                 self._value = err
                 self._defused = False
@@ -477,7 +477,7 @@ def _resume_ticker(queue: list, entry: list, ticker: Ticker,
         _retire_entry(queue, entry)
         ticker._finish(stop.value)
         return
-    except BaseException as err:
+    except Exception as err:
         _retire_entry(queue, entry)
         ticker._crash(err)
         return

@@ -53,18 +53,6 @@ class TimeSeries:
                 total += values[i] * (t1 - t0)
         return total / (end - times[0])
 
-    def resample(self, step: float, until: Optional[float] = None
-                 ) -> tuple[np.ndarray, np.ndarray]:
-        """Sample the step signal on a regular grid (for metric pipelines)."""
-        if not self.times:
-            return np.array([]), np.array([])
-        end = until if until is not None else self.times[-1]
-        grid = np.arange(self.times[0], end + step / 2, step)
-        times = np.asarray(self.times)
-        idx = np.searchsorted(times, grid, side="right") - 1
-        idx = np.clip(idx, 0, len(times) - 1)
-        return grid, np.asarray(self.values)[idx]
-
 
 @dataclass
 class Counter:

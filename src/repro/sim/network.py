@@ -102,9 +102,6 @@ class Network:
         for name in names:
             self.add_node(name)
 
-    def remove_node(self, name: str) -> None:
-        self._nodes.pop(str(name), None)
-
     @property
     def nodes(self) -> list[str]:
         """Registered node names, in registration order."""

@@ -19,7 +19,6 @@ from repro.workload.arrivals import (
     DiurnalArrivals,
     FlashcrowdArrivals,
     PoissonArrivals,
-    TraceArrivals,
 )
 from repro.workload.generators import (
     WorkloadSpec,
@@ -40,7 +39,6 @@ __all__ = [
     "Task",
     "TaskState",
     "TraceArchive",
-    "TraceArrivals",
     "TraceRecord",
     "Workflow",
     "WorkloadSpec",

@@ -1,4 +1,4 @@
-"""Arrival processes: Poisson, diurnal, flashcrowd, and trace-driven.
+"""Arrival processes: Poisson, diurnal, and flashcrowd.
 
 The paper debunks Poisson-arrival assumptions for P2P ecosystems (§6.1,
 Pouwelse et al. follow-ups) and designs a flashcrowd model [66]; all the
@@ -19,9 +19,6 @@ class ArrivalProcess:
     def times(self, horizon: float) -> Iterator[float]:
         """Yield arrival times strictly below ``horizon``, increasing."""
         raise NotImplementedError
-
-    def count(self, horizon: float) -> int:
-        return sum(1 for _ in self.times(horizon))
 
 
 class PoissonArrivals(ArrivalProcess):
@@ -131,32 +128,3 @@ class FlashcrowdArrivals(ArrivalProcess):
     def is_flashcrowd_at(self, t: float, threshold: float = 5.0) -> bool:
         """Flashcrowd detector: instantaneous rate above threshold×base."""
         return self.rate_at(t) >= threshold * self.base_rate
-
-
-class TraceArrivals(ArrivalProcess):
-    """Replays a recorded list of arrival times (trace-driven experiments)."""
-
-    def __init__(self, arrival_times: Sequence[float]):
-        self.arrival_times = sorted(float(t) for t in arrival_times)
-
-    def times(self, horizon: float) -> Iterator[float]:
-        for t in self.arrival_times:
-            if t >= horizon:
-                return
-            yield t
-
-
-def interarrival_cv(times: Sequence[float]) -> float:
-    """Coefficient of variation of inter-arrival times.
-
-    CV ≈ 1 for Poisson; CV >> 1 indicates burstiness (the flashcrowd
-    signature the paper's P2P measurements found).
-    """
-    arr = np.asarray(sorted(times), dtype=float)
-    if arr.size < 3:
-        return float("nan")
-    gaps = np.diff(arr)
-    mean = gaps.mean()
-    if mean == 0:
-        return float("inf")
-    return float(gaps.std(ddof=1) / mean)

@@ -68,12 +68,6 @@ class Task:
             return None
         return self.finish_time - self.start_time
 
-    def slowdown(self, reference_runtime: float) -> Optional[float]:
-        """Bounded slowdown: response time over (reference) runtime."""
-        if self.response_time is None:
-            return None
-        return self.response_time / max(reference_runtime, 1e-9)
-
 
 _job_ids = count()
 
@@ -155,14 +149,8 @@ class Workflow:
     def tasks(self) -> list[Task]:
         return list(self._tasks.values())
 
-    def task(self, task_id: int) -> Task:
-        return self._tasks[task_id]
-
     def predecessors(self, task: Task) -> list[Task]:
         return [self._tasks[t] for t in self.graph.predecessors(task.task_id)]
-
-    def successors(self, task: Task) -> list[Task]:
-        return [self._tasks[t] for t in self.graph.successors(task.task_id)]
 
     def ready_tasks(self) -> list[Task]:
         """Pending tasks whose predecessors have all finished."""
@@ -206,23 +194,6 @@ class Workflow:
             preds = list(self.graph.predecessors(node))
             best[node] = work + (max(best[p] for p in preds) if preds else 0.0)
         return max(best.values()) if best else 0.0
-
-    def level_of(self, task: Task) -> int:
-        """Depth of the task in the DAG (roots are level 0)."""
-        preds = self.predecessors(task)
-        if not preds:
-            return 0
-        return 1 + max(self.level_of(p) for p in preds)
-
-    def levels(self) -> dict[int, list[Task]]:
-        """Tasks grouped by DAG level (used by level-aware autoscalers)."""
-        result: dict[int, list[Task]] = {}
-        depth: dict[int, int] = {}
-        for node in nx.topological_sort(self.graph):
-            preds = list(self.graph.predecessors(node))
-            depth[node] = 1 + max((depth[p] for p in preds), default=-1)
-            result.setdefault(depth[node], []).append(self._tasks[node])
-        return result
 
 
 class MapReduceJob(Workflow):

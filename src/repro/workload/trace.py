@@ -1,8 +1,8 @@
 """The Trace Archive: FAIR sharing of workload and operational traces.
 
 Reproduces the paper's dissemination artifacts — the Peer-to-Peer Trace
-Archive [64] and the Game Trace Archive [83] — as one JSON-lines format
-with explicit metadata, so experiments can exchange traces between the
+Archive [64] and the Game Trace Archive [83] — as one record format with
+explicit metadata, so experiments can exchange traces between the
 simulation domains ("one of the key contributions a team can make ...
 is sharing workload and operational traces in a FAIR and/or FOAD archive",
 §6.2).
@@ -10,10 +10,8 @@ is sharing workload and operational traces in a FAIR and/or FOAD archive",
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
-from typing import Any, Iterable, Iterator, Optional, Union
+from dataclasses import dataclass, field
+from typing import Any, Iterator, Optional
 
 
 @dataclass
@@ -24,16 +22,6 @@ class TraceRecord:
     kind: str
     entity: str = ""
     attributes: dict[str, Any] = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, line: str) -> "TraceRecord":
-        data = json.loads(line)
-        return cls(time=float(data["time"]), kind=data["kind"],
-                   entity=data.get("entity", ""),
-                   attributes=data.get("attributes", {}))
 
 
 class TraceArchive:
@@ -69,26 +57,7 @@ class TraceArchive:
         self.records.append(record)
         return record
 
-    def extend(self, records: Iterable[TraceRecord]) -> None:
-        self.records.extend(records)
-
-    # -- queries -------------------------------------------------------------
-    def of_kind(self, kind: str) -> list[TraceRecord]:
-        return [r for r in self.records if r.kind == kind]
-
-    def kinds(self) -> set[str]:
-        return {r.kind for r in self.records}
-
-    def time_range(self) -> tuple[float, float]:
-        if not self.records:
-            raise ValueError("empty trace")
-        times = [r.time for r in self.records]
-        return min(times), max(times)
-
-    def window(self, start: float, stop: float) -> list[TraceRecord]:
-        return [r for r in self.records if start <= r.time < stop]
-
-    # -- persistence -----------------------------------------------------------
+    # -- metadata --------------------------------------------------------------
     def header(self) -> dict[str, Any]:
         return {
             "format_version": self.FORMAT_VERSION,
@@ -99,35 +68,3 @@ class TraceArchive:
             "metadata": self.metadata,
             "n_records": len(self.records),
         }
-
-    def save(self, path: Union[str, Path]) -> Path:
-        """Write header line + one JSON record per line."""
-        path = Path(path)
-        with path.open("w") as fh:
-            fh.write(json.dumps(self.header(), sort_keys=True) + "\n")
-            for record in sorted(self.records, key=lambda r: r.time):
-                fh.write(record.to_json() + "\n")
-        return path
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "TraceArchive":
-        path = Path(path)
-        with path.open() as fh:
-            header = json.loads(fh.readline())
-            if header.get("format_version") != cls.FORMAT_VERSION:
-                raise ValueError(
-                    f"unsupported trace format {header.get('format_version')}")
-            archive = cls(
-                name=header["name"], domain=header["domain"],
-                instrument=header.get("instrument", "unknown"),
-                provenance=header.get("provenance", ""),
-                metadata=header.get("metadata", {}))
-            for line in fh:
-                line = line.strip()
-                if line:
-                    archive.records.append(TraceRecord.from_json(line))
-        if len(archive.records) != header.get("n_records", len(archive.records)):
-            raise ValueError(
-                f"trace {path} truncated: header says "
-                f"{header['n_records']} records, found {len(archive.records)}")
-        return archive

@@ -1,13 +1,16 @@
 """Runtime sanitizers: determinism, resource leaks, and kernel debug mode."""
 
 import hashlib
+import signal
 import struct
 
 import pytest
 
 from repro.analysis.sanitizers import (
+    LIVELOCK_DISPATCHES,
     DeterminismSanitizer,
     DeterminismViolation,
+    Livelock,
     ResourceLeakError,
     ResourceLeakSanitizer,
     SharedStateSanitizer,
@@ -125,6 +128,72 @@ def test_trace_digest_byte_format_is_pinned():
     assert digest.events == len(events)
     assert digest.head == events
 
+
+
+def _spin_at(env, t):
+    """Waits until ``t``, then yields zero-delay timeouts forever."""
+    yield env.timeout(t)
+    while True:
+        yield env.timeout(0)
+
+
+def test_trace_digest_raises_livelock_naming_time_and_kind():
+    env = Environment()
+    digest = TraceDigest()
+    env.add_tracer(digest)
+    env.process(_spin_at(env, 5.0))
+    with pytest.raises(Livelock, match=r"sim time 5\.000.*'Timeout'"):
+        env.run(until=100.0)
+    assert env.now == 5.0
+    assert LIVELOCK_DISPATCHES < digest.events < 2 * LIVELOCK_DISPATCHES
+
+
+def test_trace_digest_counts_per_instant_not_per_run():
+    # The bound's worth of dispatches spread over advancing instants is
+    # no livelock, nor is a run that meets the bound exactly.
+    digest = TraceDigest(keep=0)
+    for i in range(LIVELOCK_DISPATCHES + 10):
+        digest(float(i // 2), i, "Timeout")
+    for i in range(LIVELOCK_DISPATCHES + 1):
+        digest(1e9, i, "Process")
+    with pytest.raises(Livelock, match="'Process'"):
+        for i in range(LIVELOCK_DISPATCHES):
+            digest(1e9, i, "Process")
+
+
+def _loop_at(env, t):
+    """Waits until ``t``, then loops without ever yielding again."""
+    yield env.timeout(t)
+    while True:
+        pass
+
+
+def test_stall_guard_raises_livelock_on_a_loop_that_never_yields():
+    env = Environment()
+    digest = TraceDigest()
+    env.add_tracer(digest)
+    env.process(_loop_at(env, 5.0))
+    with pytest.raises(Livelock, match=r"sim time 5\.000.*without yielding"):
+        with digest.stall_guard():
+            env.run(until=100.0)
+    assert digest.events == 2  # the start, then the wake-up that spins
+
+
+def test_stall_guard_leaves_a_progressing_run_alone():
+    env = Environment()
+    digest = TraceDigest()
+    env.add_tracer(digest)
+
+    def ticks(env):
+        for _ in range(100_000):  # several progress checks' worth of CPU
+            yield env.timeout(1.0)
+
+    env.process(ticks(env))
+    with digest.stall_guard():
+        env.run()
+    assert env.now == 100_000.0
+    assert signal.getitimer(signal.ITIMER_VIRTUAL) == (0.0, 0.0)
+    assert signal.getsignal(signal.SIGVTALRM) is signal.SIG_DFL
 
 # -- resource-leak sanitizer -----------------------------------------------
 

@@ -15,6 +15,9 @@ from repro.campaign import (
     run_campaign,
     standard_oracles,
 )
+from repro.campaign.oracles import WORLD_RUNNERS
+from repro.campaign.shrink import replay_repro, repro_dict, shrink_schedule
+from repro.sim import Environment
 
 
 def quick_schedule(world="partition", seed=3):
@@ -171,3 +174,81 @@ class TestMergeMetrics:
 
     def test_merge_of_nothing_is_empty(self):
         assert merge_metrics([]) == {}
+
+
+# -- livelock ---------------------------------------------------------------
+
+def _spin_at(env, t):
+    """From ``t`` on, dispatches zero-delay timeouts forever."""
+    yield env.timeout(t)
+    while True:
+        yield env.timeout(0)
+
+
+def _loop_at(env, t):
+    """From ``t`` on, loops without yielding."""
+    yield env.timeout(t)
+    while True:
+        pass
+
+
+def livelocked_world(*, seed, episodes, sim_budget_s, invariant_halt,
+                     registry):
+    """A world that livelocks at t=5 when a crash episode is planned
+    (without yielding when it is a long one), and that otherwise closes
+    its books."""
+    env = Environment()
+    for e in episodes:
+        if e.kind == "crash":
+            env.process((_loop_at if e.duration_s > 60.0 else _spin_at)(
+                env, 5.0))
+    env.run(until=sim_budget_s)
+    return {"all_done": True, "completed": 1, "submitted": 1}
+
+
+def livelocking_schedule():
+    episodes = (Episode(kind="partition", start_s=20.0, end_s=40.0),
+                Episode(kind="crash", start_s=50.0, end_s=60.0),
+                Episode(kind="loss", start_s=70.0, end_s=90.0,
+                        params={"rate": 0.1}))
+    return FaultSchedule(world="partition", seed=3, sim_budget_s=240.0,
+                         episodes=episodes)
+
+
+def test_real_world_run_has_no_livelock():
+    run = execute_schedule(quick_schedule())
+    assert run.livelock is None
+    assert run.result["all_done"] is True
+
+
+class TestLivelock:
+    @pytest.fixture(autouse=True)
+    def _world(self, monkeypatch):
+        monkeypatch.setitem(WORLD_RUNNERS, "partition", livelocked_world)
+
+    def test_livelock_is_a_progress_failure(self):
+        verdict = OracleStack(double_run=True).evaluate(
+            livelocking_schedule())
+        assert verdict.failures == ("progress",)
+        assert "sim time 5.000" in verdict.failure_details["progress"]
+        assert "'Timeout'" in verdict.failure_details["progress"]
+        assert verdict.summary == {}
+
+    def test_loop_without_yield_is_a_progress_failure(self):
+        schedule = FaultSchedule(
+            world="partition", seed=3, sim_budget_s=240.0,
+            episodes=(Episode(kind="crash", start_s=50.0, end_s=150.0),))
+        verdict = OracleStack(double_run=True).evaluate(schedule)
+        assert verdict.failures == ("progress",)
+        assert "sim time 5.000" in verdict.failure_details["progress"]
+        assert "without yielding" in verdict.failure_details["progress"]
+
+    def test_shrink_and_repro_keep_the_livelock(self):
+        result = shrink_schedule(livelocking_schedule())
+        assert result.failures == ("progress",)
+        assert [e.kind for e in result.minimal.episodes] == ["crash"]
+        outcome = replay_repro(repro_dict(
+            result.minimal, result.failures,
+            trace_digest=result.trace_digest))
+        assert outcome.reproduced
+        assert outcome.trace_digest_matches

@@ -100,8 +100,8 @@ class TestFaultSchedule:
             world="partition", seed=42, sim_budget_s=300.0,
             episodes=(episode(), episode(kind="loss", start=50.0,
                                          end=80.0)))
-        text = schedule.dumps()
-        loaded = FaultSchedule.loads(text)
+        text = json.dumps(schedule.as_dict())
+        loaded = FaultSchedule.from_dict(json.loads(text))
         assert loaded == schedule
         assert loaded.digest() == schedule.digest()
 
@@ -187,8 +187,8 @@ class TestGeneration:
                     assert ep.kind in allowed
                     assert 0 <= ep.start_s < ep.end_s
                 # Round-trip through JSON preserves identity.
-                assert FaultSchedule.loads(
-                    schedule.dumps()).digest() == schedule.digest()
+                assert FaultSchedule.from_dict(json.loads(json.dumps(
+                    schedule.as_dict()))).digest() == schedule.digest()
 
     def test_derive_seed_is_stable_and_spread(self):
         seeds = [derive_seed(0, i) for i in range(50)]

@@ -12,7 +12,6 @@ class TestMachine:
         m.allocate(3, memory_gb=4)
         assert m.free_cores == 1
         assert m.free_memory_gb == 4
-        assert m.utilization == 0.75
         m.release(3, memory_gb=4, incarnation=m.incarnation)
         assert m.free_cores == 4
 

@@ -44,17 +44,6 @@ class TestSuperstepRecovery:
         assert baseline.lost_work_s > ckpt.lost_work_s
         assert baseline.makespan_s > ckpt.makespan_s
 
-    def test_superstep_profile_from_platform_run(self):
-        import networkx as nx
-        from repro.graphalytics.platforms import PLATFORMS
-        from repro.graphalytics.robustness import superstep_profile
-        graph = nx.erdos_renyi_graph(200, 0.05, seed=1)
-        platform = PLATFORMS["cpu-distributed"]
-        run = platform.run("pagerank", graph, "er200")
-        n, per_step = superstep_profile(run)
-        assert n == run.result.iterations >= 1
-        assert per_step * n == pytest.approx(run.breakdown.compute_s)
-
     def test_validation(self):
         from repro.graphalytics.robustness import run_supersteps_with_recovery
         rng = RandomStreams(0).get("crash")

@@ -76,8 +76,3 @@ class TestHealthAwareScheduling:
         assert aware["false_suspicions"] == 0
         assert aware["completed"] == plain["completed"]
         assert aware["makespan_s"] == pytest.approx(plain["makespan_s"])
-
-    def test_health_aware_is_deterministic(self):
-        a = run_scheduling_scenario(seed=4, mtbf_s=300.0, health_aware=True)
-        b = run_scheduling_scenario(seed=4, mtbf_s=300.0, health_aware=True)
-        assert a == b

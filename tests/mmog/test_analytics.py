@@ -1,15 +1,12 @@
 """Tests for CAMEO-style continuous gaming analytics ([79])."""
 
-import numpy as np
 import pytest
 
 from repro.mmog.analytics import (
     CameoAnalytics,
     SessionRecord,
-    churned,
     dau,
     generate_sessions,
-    retention,
 )
 from repro.sim import RandomStreams
 
@@ -51,19 +48,6 @@ class TestExactKPIs:
                SessionRecord("b", 50, 60)]
         assert dau(day, 0) == 2
         assert dau(day, 1) == 0
-
-    def test_retention(self):
-        sessions = [SessionRecord("a", 10, 20),
-                    SessionRecord("b", 30, 40),
-                    SessionRecord("a", 86400 + 10, 86400 + 20)]
-        assert retention(sessions, 0) == 0.5
-        assert np.isnan(retention(sessions, 5))
-
-    def test_churn_reflects_disappearance(self):
-        sessions = [SessionRecord("a", 10, 20),
-                    SessionRecord("b", 30, 40),
-                    SessionRecord("a", 2 * 86400 + 10, 2 * 86400 + 20)]
-        assert churned(sessions, 0, horizon_days=3) == 0.5
 
     def test_churn_declines_population(self, sessions):
         assert dau(sessions, 6) < dau(sessions, 0)

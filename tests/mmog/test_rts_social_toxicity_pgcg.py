@@ -17,7 +17,7 @@ from repro.mmog import (
     rts_frame_cost,
     rtsenv_sweep,
 )
-from repro.mmog.pgcg import SOLVED, generation_rejection_rate, scramble
+from repro.mmog.pgcg import SOLVED, scramble
 from repro.mmog.rts import replay_derived_workload
 from repro.mmog.social import CoPlayRecord, generate_coplay
 from repro.sim import RandomStreams
@@ -58,14 +58,6 @@ class TestRTSenv:
             background_entities=0)
         aos = AreaOfSimulation(workload)
         assert aos.speedup == pytest.approx(1.0)
-
-    def test_aos_supports_more_entities(self):
-        workload = RTSWorkload(
-            pois=[PointOfInterest("battle", entities=30)],
-            background_entities=500)
-        aos = AreaOfSimulation(workload)
-        supported = aos.max_supported_entities(budget=1.0, frame_hz=30)
-        assert supported > 500
 
     def test_mirror_offload_pays_for_heavy_frames(self):
         mirror = MirrorOffload(device_speed=1.0, cloud_speed=10.0,
@@ -207,11 +199,7 @@ class TestPGCG:
         assert len(puzzles) == 5
         for p in puzzles:
             assert 4 <= p.difficulty <= 10
-            assert not p.solved
-
-    def test_rejection_rate_positive(self, rng):
-        rate = generation_rejection_rate(rng, (6, 10), samples=50)
-        assert 0 < rate < 1
+            assert p.board != SOLVED
 
     def test_invalid_band(self, rng):
         with pytest.raises(ValueError):

@@ -6,7 +6,6 @@ import pytest
 from repro.mmog import (
     GENRE_PROFILES,
     LastValuePredictor,
-    MovingAveragePredictor,
     PlayerSession,
     TrendPredictor,
     Zone,
@@ -28,10 +27,8 @@ class TestZone:
         for i in range(10):
             assert zone.try_join(PlayerSession(f"p{i}", start=0))
         assert zone.tick_hz == zone.base_tick_hz
-        assert not zone.overloaded
         for i in range(5):
             zone.try_join(PlayerSession(f"q{i}", start=0))
-        assert zone.overloaded
         assert zone.tick_hz < zone.base_tick_hz
 
     def test_hard_capacity_refuses_joins(self):
@@ -88,10 +85,6 @@ class TestPredictors:
         assert LastValuePredictor().predict([1, 2, 3]) == 3
         assert LastValuePredictor().predict([]) == 0.0
 
-    def test_moving_average(self):
-        predictor = MovingAveragePredictor(window=2)
-        assert predictor.predict([1, 2, 4]) == 3.0
-
     def test_trend_extrapolates(self):
         predictor = TrendPredictor(window=4)
         assert predictor.predict([0, 10, 20, 30], horizon=1) == (
@@ -104,8 +97,6 @@ class TestPredictors:
         assert predictor.predict([30, 20, 10], horizon=5) == 0.0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            MovingAveragePredictor(window=0)
         with pytest.raises(ValueError):
             TrendPredictor(window=1)
 
@@ -145,7 +136,6 @@ class TestProvisioning:
         # Step 1: fleet still at min size -> underprovisioned.
         assert result.underprovisioned_fraction > 0
         assert result.unserved_player_time > 0
-        assert result.overprovisioned_capacity_time > 0
 
     def test_headroom_validation(self):
         with pytest.raises(ValueError):
@@ -156,5 +146,5 @@ class TestProvisioning:
 
     def test_mean_utilization_bounded(self):
         demand = self._ramp_demand()
-        result = run_provisioning(demand, MovingAveragePredictor())
+        result = run_provisioning(demand, LastValuePredictor())
         assert 0 <= result.mean_utilization <= 1

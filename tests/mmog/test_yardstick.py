@@ -13,7 +13,7 @@ class TestYardstick:
         report = run_yardstick(zone, max_bots=120,
                                playability_floor_hz=10.0)
         assert report.degradation_onset == 51
-        curve = dict(report.curve())
+        curve = {s.population: s.tick_hz for s in report.samples if s.joined}
         assert curve[50] == 20.0
         assert curve[100] < 20.0
 

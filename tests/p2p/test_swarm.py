@@ -31,12 +31,6 @@ class TestPeerClasses:
         assert PEER_CLASSES["adsl"].asymmetry == 8.0
         assert PEER_CLASSES["symmetric"].asymmetry == 1.0
 
-    def test_peer_sharing_ratio(self):
-        p = Peer(peer_class=PEER_CLASSES["adsl"], arrival_time=0)
-        assert p.sharing_ratio == 0.0
-        p.downloaded_mb, p.uploaded_mb = 100, 50
-        assert p.sharing_ratio == 0.5
-
     def test_torrent_id(self):
         assert content().torrent_id == "movie-x/x264-720p"
 

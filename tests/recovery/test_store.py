@@ -61,7 +61,7 @@ class TestSaveRestore:
         assert env.now == pytest.approx(store.write_time_s(120.0))
         assert ckpt.payload == {"progress": 10.0}
         assert len(store) == 1
-        assert store.latest() is ckpt
+        assert store.checkpoints[-1] is ckpt
         assert store.writes == 1
 
     def test_restore_returns_newest(self):

@@ -12,7 +12,6 @@ from repro.scheduling import (
     FairSharePolicy,
     LJFPolicy,
     POLICIES,
-    RandomPolicy,
     PortfolioScheduler,
     SJFPolicy,
     simulate_schedule,
@@ -52,13 +51,6 @@ class TestPolicyOrdering:
         order = LJFPolicy().order(self._queue(), now=10)
         assert [t.work for t in order] == [30, 20, 10]
 
-    def test_random_is_permutation(self):
-        rng = RandomStreams(seed=1).get("r")
-        queue = self._queue()
-        order = RandomPolicy(rng).order(queue, now=0)
-        assert sorted(t.task_id for t in order) == sorted(
-            t.task_id for t in queue)
-
     def test_fair_share_prefers_unserved_users(self):
         policy = FairSharePolicy()
         t1 = Task(work=10, submit_time=0)
@@ -91,8 +83,8 @@ class TestPolicyOrdering:
         assert LJFPolicy().order(queue, now=0) == [zero, mid, unknown]
 
     def test_registry_complete(self):
-        assert set(POLICIES) == {"fcfs", "sjf", "ljf", "random",
-                                 "fair-share", "backfill"}
+        assert set(POLICIES) == {"fcfs", "sjf", "ljf", "fair-share",
+                                 "backfill"}
 
 
 class TestSimulator:
@@ -444,19 +436,3 @@ class TestAllocationHandoff:
             proc._generator.close()
         assert books() == before
         assert sum(m.used_cores for m in cluster.machines) == 0
-
-
-class TestRandomPolicySimulation:
-    def test_seeded_run_is_reproducible(self):
-        def run():
-            env = Environment()
-            sim = _Recording(env, Cluster.homogeneous("c", 3, cores=4),
-                             make_policy("random",
-                                         RandomStreams(seed=5).get("r")))
-            sim.submit_jobs(_random_jobs(1))
-            env.run()
-            return sim.dispatches
-
-        first = run()
-        assert len(first) > 10
-        assert first == run()

@@ -13,7 +13,7 @@ from repro.serverless import (
     WorkflowEngine,
     platform_coverage,
 )
-from repro.serverless.refarch import layer_coverage, missing_components
+from repro.serverless.refarch import layer_coverage
 from repro.sim import Environment, RandomStreams
 
 
@@ -184,8 +184,7 @@ class TestFaaSReferenceArchitecture:
         fission = platform_coverage(KNOWN_PLATFORMS["fission"])
         fission_wf = platform_coverage(KNOWN_PLATFORMS["fission+workflows"])
         assert fission_wf > fission
-        missing = missing_components(KNOWN_PLATFORMS["fission"])
-        assert "workflow-engine" in missing
+        assert "workflow-engine" not in KNOWN_PLATFORMS["fission"]
 
     def test_bare_containers_are_not_serverless(self):
         coverage = platform_coverage(

@@ -309,6 +309,38 @@ def test_process_return_value_via_join():
     assert env.run(until=j) == 42
 
 
+
+class _Abort(BaseException):
+    """Stands in for ``KeyboardInterrupt`` or a test's alarm."""
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["fast", "step"])
+def test_base_exception_in_process_escapes_run_on_first_raise(traced):
+    """A process failure is an ``Exception``; anything else (Ctrl-C, an
+    alarm) stops the run at once, even when a waiter would catch it."""
+    env = Environment()
+    if traced:
+        env.add_tracer(lambda t, eid, kind: None)
+    raised = []
+    caught = []
+
+    def worker(env):
+        yield env.timeout(1)
+        raised.append(env.now)
+        raise _Abort()
+
+    def waiter(env, proc):
+        try:
+            yield proc
+        except BaseException as err:  # would swallow a process failure
+            caught.append(err)
+
+    env.process(waiter(env, env.process(worker(env))))
+    with pytest.raises(_Abort):
+        env.run()
+    assert raised == [1.0]
+    assert caught == []
+
 def test_process_is_alive_lifecycle():
     env = Environment()
 
@@ -362,7 +394,7 @@ class ReferenceProcess(Process):
                 self._value = stop.value
                 self.env._schedule(self)
                 break
-            except BaseException as err:
+            except Exception as err:
                 self._ok = False
                 self._value = err
                 self._defused = False

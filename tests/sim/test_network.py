@@ -96,11 +96,6 @@ class TestTopology:
         with pytest.raises(KeyError):
             net.allows("ghost", "a")
 
-    def test_remove_node(self):
-        _, net = make_net("a", "b")
-        net.remove_node("b")
-        assert net.nodes == ["a"]
-
 
 class TestSend:
     def test_zero_latency_delivers_synchronously(self):
@@ -278,7 +273,6 @@ def test_default_latency_validation():
 
 
 # -- reference oracle: the triple-booked ledger ------------------------------
-
 class TripleBookNetwork:
     """The fabric's earlier bookkeeping, kept as an oracle.
 

@@ -69,14 +69,6 @@ class TestTimeSeries:
     def test_time_average_empty_is_nan(self):
         assert math.isnan(TimeSeries("x").time_average())
 
-    def test_resample_grid(self):
-        ts = TimeSeries("v")
-        ts.record(0, 1.0)
-        ts.record(2, 3.0)
-        grid, vals = ts.resample(step=1.0, until=4)
-        assert list(grid) == [0, 1, 2, 3, 4]
-        assert list(vals) == [1, 1, 3, 3, 3]
-
 
 class TestMonitorCounter:
     def test_monitor_records_at_env_time(self):

@@ -259,6 +259,38 @@ def test_waited_crash_delivered_to_waiter():
     assert caught == ["boom"]
 
 
+
+class _Abort(BaseException):
+    """Stands in for ``KeyboardInterrupt`` or a test's alarm."""
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["fast", "step"])
+def test_base_exception_in_ticker_escapes_run_on_first_raise(traced):
+    env = Environment()
+    if traced:
+        env.add_tracer(lambda t, eid, kind: None)
+    raised = []
+    caught = []
+
+    def body():
+        yield 1.0
+        raised.append(env.now)
+        raise _Abort()
+
+    tick = env.ticker(body())
+
+    def waiter():
+        try:
+            yield tick.completed
+        except BaseException as err:  # would swallow a ticker crash
+            caught.append(err)
+
+    env.process(waiter())
+    with pytest.raises(_Abort):
+        env.run()
+    assert raised == [1.0]
+    assert caught == []
+
 @pytest.mark.parametrize("bad", ["soon", -1.0, (1.0, 0), (1.0, -3),
                                  (1.0, 2.5), (1.0, 2, 3), None])
 def test_invalid_yield_crashes_ticker(bad):

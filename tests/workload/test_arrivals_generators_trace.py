@@ -1,5 +1,6 @@
-"""Tests for arrival processes, workload generators, and the trace archive."""
+"""Tests for arrival processes and workload generators."""
 
+import numpy as np
 import pytest
 
 from repro.sim import RandomStreams
@@ -9,15 +10,18 @@ from repro.workload import (
     FlashcrowdArrivals,
     MapReduceJob,
     PoissonArrivals,
-    TraceArchive,
-    TraceArrivals,
     Workflow,
     WORKLOAD_DOMAINS,
     generate_domain_workload,
     generate_workflow,
     generate_workflow_workload,
 )
-from repro.workload.arrivals import interarrival_cv
+
+
+def interarrival_cv(times):
+    """Coefficient of variation of the gaps between arrival times."""
+    gaps = np.diff(np.sort(np.asarray(times, dtype=float)))
+    return float(gaps.std(ddof=1) / gaps.mean())
 
 
 @pytest.fixture
@@ -80,14 +84,6 @@ class TestArrivals:
             burst_decay_s=1000).times(50_000))
         assert interarrival_cv(fc) > interarrival_cv(base)
 
-    def test_trace_arrivals_replay(self):
-        proc = TraceArrivals([5.0, 1.0, 9.0])
-        assert list(proc.times(8)) == [1.0, 5.0]
-
-    def test_count(self, rng):
-        proc = TraceArrivals([1, 2, 3])
-        assert proc.count(10) == 3
-
 
 class TestGenerators:
     def test_all_domains_generate(self, rng):
@@ -138,47 +134,3 @@ class TestGenerators:
             for task in job.tasks:
                 assert task.work <= task.runtime_estimate <= (
                     task.work * spec.estimate_error * 1.0001)
-
-
-class TestTraceArchive:
-    def test_roundtrip(self, tmp_path):
-        archive = TraceArchive("p2p-2010", domain="p2p",
-                               instrument="btworld",
-                               provenance="simulated global monitor")
-        archive.add(0.0, "peer_join", "peer-1", swarm="s1")
-        archive.add(5.0, "piece_complete", "peer-1", piece=3)
-        path = archive.save(tmp_path / "trace.jsonl")
-        loaded = TraceArchive.load(path)
-        assert loaded.name == "p2p-2010"
-        assert len(loaded) == 2
-        assert loaded.records[1].attributes == {"piece": 3}
-
-    def test_kind_filtering_and_window(self):
-        archive = TraceArchive("t", domain="test")
-        for i in range(10):
-            archive.add(float(i), "a" if i % 2 == 0 else "b")
-        assert len(archive.of_kind("a")) == 5
-        assert archive.kinds() == {"a", "b"}
-        assert len(archive.window(2, 6)) == 4
-        assert archive.time_range() == (0.0, 9.0)
-
-    def test_empty_time_range_raises(self):
-        with pytest.raises(ValueError):
-            TraceArchive("t", domain="x").time_range()
-
-    def test_truncated_file_detected(self, tmp_path):
-        archive = TraceArchive("t", domain="x")
-        archive.add(1.0, "e")
-        archive.add(2.0, "e")
-        path = archive.save(tmp_path / "t.jsonl")
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(ValueError, match="truncated"):
-            TraceArchive.load(path)
-
-    def test_records_saved_sorted_by_time(self, tmp_path):
-        archive = TraceArchive("t", domain="x")
-        archive.add(5.0, "late")
-        archive.add(1.0, "early")
-        loaded = TraceArchive.load(archive.save(tmp_path / "t.jsonl"))
-        assert [r.kind for r in loaded.records] == ["early", "late"]

@@ -21,7 +21,6 @@ class TestTask:
         assert t.wait_time == 3
         assert t.response_time == 13
         assert t.runtime == 10
-        assert t.slowdown(10) == pytest.approx(1.3)
 
     def test_unique_ids(self):
         assert Task(work=1).task_id != Task(work=1).task_id
@@ -107,14 +106,6 @@ class TestWorkflow:
         wf, _ = self._diamond()
         # a -> c -> d = 1 + 3 + 4 = 8.
         assert wf.critical_path_work() == 8
-
-    def test_levels(self):
-        wf, (a, b, c, d) = self._diamond()
-        levels = wf.levels()
-        assert [t.task_id for t in levels[0]] == [a.task_id]
-        assert {t.task_id for t in levels[1]} == {b.task_id, c.task_id}
-        assert [t.task_id for t in levels[2]] == [d.task_id]
-        assert wf.level_of(d) == 2
 
     def test_makespan_requires_completion(self):
         wf, tasks = self._diamond()

@@ -5,7 +5,7 @@ Run from the repository root::
 
     python tools/reach.py --out reach.json
 
-The run takes about 2.5 minutes on a 2-core VM, about 80 s of them in
+The run takes about 3 minutes on a 2-core VM, about 90 s of them in
 the paper benches. It writes a JSON report with the totals, the unreached
 body lines per package and per file, and the unreached functions.
 
