@@ -148,7 +148,7 @@ class TraceDigest:
         return self._hash.hexdigest()
 
     @contextmanager
-    def stall_guard(self) -> Iterator["TraceDigest"]:
+    def stall_guard(self) -> Iterator[None]:
         """Raise :class:`Livelock` if the block dispatches nothing for
         :data:`STALL_CPU_S` of CPU time.
 
@@ -160,7 +160,7 @@ class TraceDigest:
         runs unguarded.
         """
         if threading.current_thread() is not threading.main_thread():
-            yield self
+            yield
             return
         seen = [self.events, 0]  # events at the last check, idle checks
 
@@ -175,7 +175,7 @@ class TraceDigest:
         previous = signal.signal(signal.SIGVTALRM, check)
         signal.setitimer(signal.ITIMER_VIRTUAL, _STALL_TICK_S, _STALL_TICK_S)
         try:
-            yield self
+            yield
         except _Stalled:
             raise Livelock(
                 f"livelock at sim time {self._instant:.3f}: no dispatch "
