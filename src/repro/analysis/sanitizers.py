@@ -24,7 +24,6 @@ import functools
 import hashlib
 import signal
 import struct
-import threading
 import weakref
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Optional
@@ -69,14 +68,17 @@ _EVENT_PREFIX = struct.Struct("<dQ")
 #: livelocked run reaches it in well under a second.
 LIVELOCK_DISPATCHES = 100_000
 
-#: Dispatches past the bound whose kinds are counted, to name the
-#: dominant one in the error.
-_LIVELOCK_SAMPLE = 1_000
-
 #: CPU seconds a guarded run may spend with no dispatch before it is a
 #: livelock: a process that loops without yielding never hands control
-#: back, so no dispatch count can see it. One dispatch of a correct run
-#: takes milliseconds.
+#: back, so no dispatch count can see it. The span counts from the
+#: guard's entry (world construction) to its exit (the result). Over
+#: every guarded run of correct code, measured with ``process_time`` on
+#: a 2-core x86 VM, the longest span is 12 ms over the 40 perfbench
+#: campaign schedules (double run), 20 ms in the 20-schedule
+#: campaign-smoke run (2 workers), 12 ms in ``tools/reach.py``'s
+#: campaign entry and 16 ms in its shrink/repro entry (both under its
+#: ``settrace`` hook), and 20 ms with a line-level ``settrace`` hook,
+#: as under coverage. The bound is 100x the largest.
 STALL_CPU_S = 2.0
 
 #: CPU seconds between :meth:`TraceDigest.stall_guard`'s progress checks.
@@ -90,7 +92,7 @@ class Livelock(RuntimeError):
     process loop that yields zero-delay events at one instant, or one
     that never yields at all, would run forever. :class:`TraceDigest`
     raises this instead, naming the stuck sim time and, when events kept
-    being dispatched, the kind dispatched most there.
+    being dispatched, the kind of the one past the bound.
     """
 
 
@@ -120,7 +122,6 @@ class TraceDigest:
         self.head: list[tuple[float, int, str]] = []
         self._instant = float("nan")
         self._stalled = 0
-        self._stalled_kinds: dict[str, int] = {}
 
     def __call__(self, t: float, eid: int, kind: str) -> None:
         self._hash.update(_EVENT_PREFIX.pack(t, eid) + kind.encode())
@@ -133,16 +134,9 @@ class TraceDigest:
             return
         self._stalled += 1
         if self._stalled > LIVELOCK_DISPATCHES:
-            if self._stalled == LIVELOCK_DISPATCHES + 1:
-                self._stalled_kinds = {}
-            kinds = self._stalled_kinds
-            kinds[kind] = kinds.get(kind, 0) + 1
-            if self._stalled == LIVELOCK_DISPATCHES + _LIVELOCK_SAMPLE:
-                dominant = max(sorted(kinds), key=kinds.__getitem__)
-                raise Livelock(
-                    f"livelock at sim time {t:.3f}: {self._stalled} "
-                    f"dispatches without the clock advancing, mostly "
-                    f"{dominant!r} events")
+            raise Livelock(
+                f"livelock at sim time {t:.3f}: {self._stalled} dispatches "
+                f"without the clock advancing, the last a {kind!r} event")
 
     def hexdigest(self) -> str:
         return self._hash.hexdigest()
@@ -154,14 +148,14 @@ class TraceDigest:
 
         A CPU-time timer (``SIGVTALRM``) checks every
         ``_STALL_TICK_S`` whether this digest saw a dispatch since the
-        last check. Only a dispatch that never returns trips it, so the
-        verdict and the digest at the raise do not depend on the host.
-        Off the main thread, where no signal can be delivered, the block
-        runs unguarded.
+        last check. A correct run's longest span without one is 100x
+        below the bound (see :data:`STALL_CPU_S`), so on any host less
+        than 100x slower than the one measured only a dispatch that
+        never returns trips it, and the verdict and the digest at the
+        raise are the same on each such host. Signals reach only the
+        main thread, so the guard must be entered there
+        (``signal.signal`` raises ``ValueError`` if not).
         """
-        if threading.current_thread() is not threading.main_thread():
-            yield
-            return
         seen = [self.events, 0]  # events at the last check, idle checks
 
         def check(signum, frame):

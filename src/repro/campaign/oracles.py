@@ -252,7 +252,9 @@ class OracleStack:
     ``double_run=True`` re-executes every schedule and requires an
     identical trace digest *and* result dict — the campaign-integrated
     form of the :class:`~repro.analysis.sanitizers.DeterminismSanitizer`
-    check. A mismatch fails the ``determinism`` oracle.
+    check. A mismatch fails the ``determinism`` oracle. A run that
+    failed ``progress`` is not re-executed: it has no result to compare,
+    and a second run would only spend the livelock budget again.
     """
 
     def __init__(self, oracles=None, *, double_run: bool = True,
@@ -291,7 +293,7 @@ class OracleStack:
             if detail is not None:
                 failures.append(oracle.name)
                 details[oracle.name] = detail
-        if self.double_run:
+        if self.double_run and run.livelock is None:
             rerun = execute_schedule(schedule, self.extra_world_kwargs)
             if rerun.trace_digest != run.trace_digest:
                 failures.append("determinism")

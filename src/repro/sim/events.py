@@ -245,6 +245,11 @@ class Process(Event):
                 self._value = err
                 self._defused = False
                 break
+            except BaseException:
+                # Ctrl-C or an alarm: not a process failure. It stops
+                # env.run, leaving no process marked active.
+                env._active_process = None
+                raise
             if not isinstance(next_event, Event):
                 # Thrown in on the next pass like a failed event's error:
                 # uncaught, it crashes the process with a clear message;

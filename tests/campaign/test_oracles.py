@@ -224,7 +224,13 @@ def test_real_world_run_has_no_livelock():
 class TestLivelock:
     @pytest.fixture(autouse=True)
     def _world(self, monkeypatch):
-        monkeypatch.setitem(WORLD_RUNNERS, "partition", livelocked_world)
+        self.executions = 0
+
+        def world(**kwargs):
+            self.executions += 1
+            return livelocked_world(**kwargs)
+
+        monkeypatch.setitem(WORLD_RUNNERS, "partition", world)
 
     def test_livelock_is_a_progress_failure(self):
         verdict = OracleStack(double_run=True).evaluate(
@@ -233,6 +239,7 @@ class TestLivelock:
         assert "sim time 5.000" in verdict.failure_details["progress"]
         assert "'Timeout'" in verdict.failure_details["progress"]
         assert verdict.summary == {}
+        assert self.executions == 1  # no double run of a livelock
 
     def test_loop_without_yield_is_a_progress_failure(self):
         schedule = FaultSchedule(
@@ -242,6 +249,7 @@ class TestLivelock:
         assert verdict.failures == ("progress",)
         assert "sim time 5.000" in verdict.failure_details["progress"]
         assert "without yielding" in verdict.failure_details["progress"]
+        assert self.executions == 1
 
     def test_shrink_and_repro_keep_the_livelock(self):
         result = shrink_schedule(livelocking_schedule())

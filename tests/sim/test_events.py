@@ -317,12 +317,15 @@ class _Abort(BaseException):
 @pytest.mark.parametrize("traced", [False, True], ids=["fast", "step"])
 def test_base_exception_in_process_escapes_run_on_first_raise(traced):
     """A process failure is an ``Exception``; anything else (Ctrl-C, an
-    alarm) stops the run at once, even when a waiter would catch it."""
+    alarm) stops the run at once, even when a waiter would catch it.
+    Once the caller catches it, the environment can run on: no process
+    is left marked active, and the other processes continue."""
     env = Environment()
     if traced:
         env.add_tracer(lambda t, eid, kind: None)
     raised = []
     caught = []
+    seen = []
 
     def worker(env):
         yield env.timeout(1)
@@ -335,11 +338,23 @@ def test_base_exception_in_process_escapes_run_on_first_raise(traced):
         except BaseException as err:  # would swallow a process failure
             caught.append(err)
 
+    def ticks(env):
+        for _ in range(3):
+            yield env.timeout(1)
+            seen.append(env.active_process)
+
     env.process(waiter(env, env.process(worker(env))))
+    other = env.process(ticks(env))
     with pytest.raises(_Abort):
         env.run()
     assert raised == [1.0]
     assert caught == []
+    assert env.active_process is None
+    env.run()
+    assert env.now == 3.0
+    assert seen == [other, other, other]
+    assert caught == []
+
 
 def test_process_is_alive_lifecycle():
     env = Environment()
@@ -400,6 +415,9 @@ class ReferenceProcess(Process):
                 self._defused = False
                 self.env._schedule(self)
                 break
+            except BaseException:
+                self.env._active_process = None
+                raise
             assert isinstance(next_event, Event)
             if next_event.callbacks is not None:
                 next_event.callbacks.append(self._resume_if_target)
