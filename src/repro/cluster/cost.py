@@ -13,15 +13,8 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class CostModel:
-    """Pricing for one instance type.
-
-    Parameters
-    ----------
-    name:
-        Human-readable scheme name.
-    price_per_hour:
-        Price of one instance-hour.
-    """
+    """Pricing for one instance type: a human-readable scheme ``name``
+    and the price of one instance-hour."""
 
     name: str
     price_per_hour: float

@@ -22,18 +22,10 @@ from repro.sim import Environment, Monitor
 
 
 class FailureInjector(CrashRestart):
-    """Fails and repairs machines of a cluster with exponential holding times.
-
-    Parameters
-    ----------
-    mtbf_s:
-        Mean time between failures per machine.
-    mttr_s:
-        Mean time to repair.
-    on_failure:
-        Optional callback invoked as ``on_failure(machine)`` when a machine
-        goes down — schedulers use it to requeue the victim's tasks.
-    """
+    """Fails and repairs machines of a cluster with exponential holding
+    times: ``mtbf_s`` between failures per machine, ``mttr_s`` to repair.
+    The optional ``on_failure(machine)`` runs when a machine goes down;
+    schedulers use it to requeue the victim's tasks."""
 
     def __init__(self, env: Environment, cluster: Cluster,
                  rng: np.random.Generator,

@@ -183,10 +183,8 @@ class PortfolioScheduler:
         # The live queue, not a copy: each candidate's ``order`` copies
         # its own sorted view of it, and nothing here changes it.
         queued = self.simulator.ready
-        running = [
-            (start + (task.runtime_estimate or task.work), task.cores)
-            for task, machine, start in self.simulator.running.values()
-        ]
+        running = [(finish, cores)
+                   for finish, cores, _ in self.simulator.releases]
         return queued, running
 
     def _decide(self) -> Policy:

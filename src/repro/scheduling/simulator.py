@@ -8,6 +8,7 @@ time, bounded slowdown, makespan, and utilization.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -116,7 +117,12 @@ class ClusterSimulator:
         #: Ready tasks in arrival order, with each policy's order kept
         #: up to date as tasks come and go (see :class:`ReadyQueue`).
         self.ready = ReadyQueue()
+        #: Tasks the scheduler believes running, ``task_id -> (task,
+        #: machine, start)``. Only :meth:`_track` adds or removes entries.
         self.running: dict[int, tuple[Task, Machine, float]] = {}
+        #: ``running``'s estimated releases, ``(finish_est, cores,
+        #: task_id)`` in ascending order, kept by :meth:`_track`.
+        self.releases: list[tuple[float, int, int]] = []
         self.finished: list[Task] = []
         #: Ids of the tasks in ``finished``: the completions this
         #: scheduler has booked, which is what unlocks a successor.
@@ -328,15 +334,29 @@ class ClusterSimulator:
             self._wake = self.env.event()
             yield self._wake
 
+    def _track(self, task: Task, machine: Optional[Machine] = None) -> None:
+        """Enter ``task`` into ``running`` on ``machine`` as of now, or,
+        with no machine, remove it if present; ``releases`` follows."""
+        if machine is not None:
+            now = self.env.now
+            self.running[task.task_id] = (task, machine, now)
+            insort(self.releases, (now + (task.runtime_estimate or task.work),
+                                   task.cores, task.task_id))
+            return
+        entry = self.running.pop(task.task_id, None)
+        if entry is not None:
+            start = entry[2]
+            releases = self.releases
+            del releases[bisect_left(releases, (
+                start + (task.runtime_estimate or task.work),
+                task.cores, task.task_id))]
+
     def _earliest_head_start(self, head: Task) -> float:
         """Estimated earliest time the head task could start (for EASY)."""
         free = self.cluster.free_cores
         if free >= head.cores:
             return self.env.now
-        releases = sorted(
-            (start + (task.runtime_estimate or task.work), task.cores)
-            for task_id, (task, machine, start) in self.running.items())
-        for finish_est, cores in releases:
+        for finish_est, cores, _ in self.releases:
             free += cores
             if free >= head.cores:
                 return max(finish_est, self.env.now)
@@ -461,7 +481,7 @@ class ClusterSimulator:
         machine.allocate(task.cores, task.memory_gb)
         task.state = TaskState.RUNNING
         task.start_time = self.env.now
-        self.running[task.task_id] = (task, machine, self.env.now)
+        self._track(task, machine)
         self.monitor.record("queue_length", len(self.ready))
         self._span_start(task, machine)
         self._procs[task.task_id] = self.env.process(
@@ -537,7 +557,7 @@ class ClusterSimulator:
         # (and the retry processes, finding their entries gone, exit).
         for task_id in sorted(self._pending_reports):
             task, runtime, _ = self._pending_reports.pop(task_id)
-            self.running.pop(task_id, None)
+            self._track(task)
             self._unreported.append((task, runtime))
 
     def recover_scheduler(self, believed: Optional[dict] = None,
@@ -628,7 +648,7 @@ class ClusterSimulator:
             # Machine failed under us.
             self.wasted_core_s += (self.env.now - task.start_time) * task.cores
             self.monitor.count("killed_executions")
-            del self.running[task.task_id]
+            self._track(task)
             del self._procs[task.task_id]
             if self.failure_mode == "drop":
                 self._span_end(task, "dropped")
@@ -667,7 +687,7 @@ class ClusterSimulator:
             # The task finished on its machine, but the completion report
             # went to a dead scheduler; recovery reconciles it — the task
             # is done (work is never redone), only the bookkeeping lags.
-            del self.running[task.task_id]
+            self._track(task)
             self._unreported.append((task, runtime))
             return
         if self.network is not None:
@@ -684,7 +704,7 @@ class ClusterSimulator:
                 if self.report_retry:
                     self.env.process(self._report_later(task))
                 return
-        del self.running[task.task_id]
+        self._track(task)
         self._report_completion(task, runtime)
         self.monitor.record("utilization", self.cluster.utilization)
         self._kick()
@@ -725,7 +745,7 @@ class ClusterSimulator:
             if not self._send_report(machine):
                 continue
             del self._pending_reports[task.task_id]
-            self.running.pop(task.task_id, None)
+            self._track(task)
             self._report_completion(task, runtime)
             self.monitor.record("utilization", self.cluster.utilization)
             self._kick()

@@ -167,6 +167,28 @@ class TestSimulator:
         assert head.start_time == pytest.approx(100.0)
         assert late.start_time == pytest.approx(head.finish_time)
 
+    def test_easy_shadow_boundaries(self):
+        """Free cores equal to a head's need start it now, and releases
+        that add up to exactly its need set the shadow at the last one,
+        so a candidate estimated to end after that must not backfill."""
+        env = Environment()
+        sim = ClusterSimulator(env, Cluster.homogeneous("c", 1, cores=4),
+                               BackfillPolicy())
+        first, second = Task(work=10, cores=2), Task(work=20, cores=2)
+        head, candidate = Task(work=30, cores=4), Task(work=30, cores=2)
+        for t in (first, second, head, candidate):
+            t.runtime_estimate = t.work
+        sim.submit_jobs([BagOfTasks([first, second], submit_time=0),
+                         BagOfTasks([head], submit_time=1),
+                         BagOfTasks([candidate], submit_time=2)])
+        env.run(until=12)
+        assert [r[:2] for r in sim.releases] == [(20.0, 2)]
+        assert sim._earliest_head_start(head) == 20.0
+        assert sim._earliest_head_start(Task(work=1, cores=2)) == 12.0
+        env.run()
+        assert head.start_time == 20.0
+        assert candidate.start_time == 50.0
+
     def test_fcfs_does_not_backfill(self):
         cluster = Cluster.homogeneous("c", 1, cores=4)
         blocker = Task(work=100, cores=3)

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cluster import Cluster, FailureInjector
+from repro.faults.chaos import (run_partition_scenario,
+                                run_scheduler_recovery_scenario)
 from repro.recovery import Journal
 from repro.scheduling.policies import FCFSPolicy
 from repro.scheduling.simulator import ClusterSimulator
@@ -193,3 +195,33 @@ class TestEndToEndUnderMachineFaults:
         assert len(sim.failed) == 0
         assert sim.scheduler_crashes == 1
         assert all(t.state is TaskState.DONE for t in tasks)
+
+
+class TestBooksUnderFaults:
+    def test_release_profile_and_core_ledger_track_every_change(
+            self, monkeypatch):
+        """Each entry into or out of ``running`` leaves the release
+        profile equal to its re-sort and the cluster ledger equal to the
+        per-machine sums, through machine crashes, scheduler outages,
+        lost completion reports and machines added mid-run."""
+        sims = []
+        track = ClusterSimulator._track
+
+        def checked(sim, task, machine=None):
+            track(sim, task, machine)
+            if sim not in sims:
+                sims.append(sim)
+            assert sim.releases == sorted(
+                (start + (t.runtime_estimate or t.work), t.cores, t.task_id)
+                for t, _, start in sim.running.values())
+            up = [m for m in sim.cluster.machines if m.is_up]
+            assert sim.cluster.total_cores == sum(m.cores for m in up)
+            assert sim.cluster.used_cores == sum(m.used_cores for m in up)
+
+        monkeypatch.setattr(ClusterSimulator, "_track", checked)
+        run_scheduler_recovery_scenario(seed=0)
+        run_partition_scenario(seed=0)
+        for counter in ("killed_executions", "scheduler_crashes",
+                        "lost_reports"):
+            assert sum(s.monitor.total(counter) for s in sims) > 0, counter
+        assert len(sims[-1].cluster) > 8  # the autoscaler added machines
