@@ -64,11 +64,11 @@ def lint_sources(sources: dict[str, str]) -> list[Finding]:
     return findings
 
 
-def lint_file(path: str, root: Optional[str] = None) -> list[Finding]:
-    """Lint one file; paths in findings are relative to ``root`` (or cwd)."""
+def lint_file(path: str) -> list[Finding]:
+    """Lint one file; paths in findings are relative to the cwd."""
     with open(path, encoding="utf-8") as fh:
         source = fh.read()
-    return lint_sources({_rel(path, root): source})
+    return lint_sources({_rel(path, None): source})
 
 
 def lint_paths(paths: Iterable[str],

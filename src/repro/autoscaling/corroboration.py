@@ -56,14 +56,13 @@ class CorroborationReport:
 def corroborate(workflows, autoscaler_factory,
                 step_sizes: Sequence[float] = (15.0, 30.0, 60.0),
                 tolerance: float = 0.25,
-                provisioning_delay_s: float = 60.0,
                 metrics: Sequence[str] = ELASTICITY_METRIC_NAMES
                 ) -> CorroborationReport:
     """Run the experiment once per step size; compare the metrics.
 
     ``autoscaler_factory()`` must return a *fresh* autoscaler per run
     (stateful autoscalers must not leak learning between evaluations).
-    The provisioning delay is held constant in wall-clock terms so the
+    The provisioning delay is held at 60 s of wall-clock time so the
     evaluations model the same system.
 
     Metrics tied to the discretization itself (per-step counts like
@@ -76,7 +75,7 @@ def corroborate(workflows, autoscaler_factory,
     values: dict[str, list[float]] = {m: [] for m in metrics}
     name = None
     for step in step_sizes:
-        delay_steps = max(1, round(provisioning_delay_s / step))
+        delay_steps = max(1, round(60.0 / step))
         config = ExperimentConfig(step_s=step,
                                   provisioning_delay_steps=delay_steps)
         autoscaler = autoscaler_factory()

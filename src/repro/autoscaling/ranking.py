@@ -12,7 +12,7 @@
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -24,9 +24,7 @@ from repro.autoscaling.metrics import (
 )
 
 
-def pairwise_wins(results: Mapping[str, AutoscalingResult],
-                  metric_names: Sequence[str] = ELASTICITY_METRIC_NAMES,
-                  ) -> dict[str, int]:
+def pairwise_wins(results: Mapping[str, AutoscalingResult]) -> dict[str, int]:
     """Total head-to-head metric wins per autoscaler."""
     if len(results) < 2:
         raise ValueError("need at least two autoscalers to rank")
@@ -34,7 +32,7 @@ def pairwise_wins(results: Mapping[str, AutoscalingResult],
     wins = {name: 0 for name in names}
     for i, a in enumerate(names):
         for b in names[i + 1:]:
-            for metric in metric_names:
+            for metric in ELASTICITY_METRIC_NAMES:
                 va = results[a].metrics[metric]
                 vb = results[b].metrics[metric]
                 if metric_is_better(metric, va, vb):
@@ -44,15 +42,14 @@ def pairwise_wins(results: Mapping[str, AutoscalingResult],
     return wins
 
 
-def fractional_scores(results: Mapping[str, AutoscalingResult],
-                      metric_names: Sequence[str] = ELASTICITY_METRIC_NAMES,
+def fractional_scores(results: Mapping[str, AutoscalingResult]
                       ) -> dict[str, float]:
     """Mean of per-metric fractional scores in (0, 1], 1 = best on all."""
     if not results:
         raise ValueError("no results to score")
     names = sorted(results)
     scores = {name: [] for name in names}
-    for metric in metric_names:
+    for metric in ELASTICITY_METRIC_NAMES:
         values = {n: results[n].metrics[metric] for n in names}
         if metric in HIGHER_IS_BETTER:
             best = max(values.values())

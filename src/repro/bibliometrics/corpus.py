@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -76,12 +75,11 @@ def _keyword_frequency(keyword: str, year: int) -> float:
 
 def generate_corpus(rng: np.random.Generator,
                     first_year: int = 1980,
-                    last_year: int = 2018,
-                    venues: Optional[Sequence[str]] = None) -> list[Paper]:
+                    last_year: int = 2018) -> list[Paper]:
     """The synthetic corpus: venue × year × papers."""
     if last_year < first_year:
         raise ValueError("last_year must be >= first_year")
-    venue_objs = [VENUES[name] for name in (venues or sorted(VENUES))]
+    venue_objs = [VENUES[name] for name in sorted(VENUES)]
     papers: list[Paper] = []
     for venue in venue_objs:
         for year in range(max(first_year, venue.first_year), last_year + 1):

@@ -2,16 +2,15 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.bibliometrics.corpus import Paper
 
 
 def keyword_presence(papers: Sequence[Paper],
-                     keywords: Optional[Sequence[str]] = None,
                      by: str = "venue") -> dict[str, dict[str, float]]:
-    """Fraction of papers mentioning each keyword, grouped by venue or by
-    decade (``by`` in {"venue", "decade"}).
+    """Fraction of papers mentioning each keyword any paper carries,
+    grouped by venue or by decade (``by`` in {"venue", "decade"}).
 
     Returns ``{group: {keyword: fraction}}`` — the Figure 1 matrix.
     """
@@ -19,8 +18,7 @@ def keyword_presence(papers: Sequence[Paper],
         raise ValueError("empty corpus")
     if by not in ("venue", "decade"):
         raise ValueError("by must be 'venue' or 'decade'")
-    if keywords is None:
-        keywords = sorted({k for p in papers for k in p.keywords})
+    keywords = sorted({k for p in papers for k in p.keywords})
 
     def group_of(paper: Paper) -> str:
         if by == "venue":

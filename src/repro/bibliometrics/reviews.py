@@ -52,23 +52,18 @@ class ReviewedPaper:
         return float(np.mean([getattr(r, aspect) for r in self.reviews]))
 
 
-def _sample_score(rng: np.random.Generator, mean: float,
-                  spread: float = 0.8) -> int:
-    raw = rng.normal(mean, spread)
+def _sample_score(rng: np.random.Generator, mean: float) -> int:
+    raw = rng.normal(mean, 0.8)
     return int(np.clip(round(raw), 1, 4))
 
 
 def generate_review_corpus(rng: np.random.Generator,
-                           n_papers: int = 500,
-                           design_fraction: float = 0.35,
-                           reviewers_range: tuple[int, int] = (3, 5),
-                           accept_rate: float = 0.2) -> list[ReviewedPaper]:
-    """The synthetic review corpus with the calibrated offsets."""
-    if not 0 <= design_fraction <= 1:
-        raise ValueError("design_fraction must be in [0, 1]")
+                           n_papers: int = 500) -> list[ReviewedPaper]:
+    """The synthetic review corpus with the calibrated offsets: 35% design
+    papers, 3 to 5 reviews each, the top 20% by merit accepted."""
     papers = []
     for pid in range(n_papers):
-        is_design = bool(rng.random() < design_fraction)
+        is_design = bool(rng.random() < 0.35)
         # Calibration: design papers get a small merit/quality bump;
         # everyone matches the topic well.
         merit_mean = 2.35 if is_design else 2.2
@@ -76,8 +71,7 @@ def generate_review_corpus(rng: np.random.Generator,
         topic_mean = 3.3
         # Paper-level latent quality shifts all its reviews together.
         latent = float(rng.normal(0.0, 0.45))
-        n_reviews = int(rng.integers(reviewers_range[0],
-                                     reviewers_range[1] + 1))
+        n_reviews = int(rng.integers(3, 5 + 1))
         reviews = [
             Review(
                 merit=_sample_score(rng, merit_mean + latent),
@@ -90,7 +84,7 @@ def generate_review_corpus(rng: np.random.Generator,
                                     reviews=reviews))
     # Accept the top papers by merit (a top-tier venue's selectivity).
     ranked = sorted(papers, key=lambda p: -p.score("merit"))
-    for paper in ranked[: int(round(accept_rate * n_papers))]:
+    for paper in ranked[: int(round(0.2 * n_papers))]:
         paper.accepted = True
     return papers
 

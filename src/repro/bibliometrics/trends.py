@@ -26,11 +26,10 @@ def blocks_since(first_year: int = 1980,
             for start in range(first_year, last_year + 1, 5)]
 
 
-def design_articles_per_block(papers: Sequence[Paper],
-                              first_year: int = 1980,
-                              last_year: int = 2018
+def design_articles_per_block(papers: Sequence[Paper]
                               ) -> dict[str, dict[str, Optional[int]]]:
-    """The Figure 2 matrix: ``{venue: {block_label: count-or-None}}``.
+    """The Figure 2 matrix, 1980 to 2018: ``{venue: {block_label:
+    count-or-None}}``.
 
     ``None`` marks censored blocks — blocks fully before the venue
     existed ("some of the venues have started earlier, so for them only
@@ -39,7 +38,7 @@ def design_articles_per_block(papers: Sequence[Paper],
     """
     if not papers:
         raise ValueError("empty corpus")
-    blocks = blocks_since(first_year, last_year)
+    blocks = blocks_since()
     venues = sorted({p.venue for p in papers})
     table: dict[str, dict[str, Optional[int]]] = {}
     for venue in venues:
@@ -58,13 +57,12 @@ def design_articles_per_block(papers: Sequence[Paper],
     return table
 
 
-def trend_is_increasing(row: dict[str, Optional[int]],
-                        min_blocks: int = 4) -> bool:
+def trend_is_increasing(row: dict[str, Optional[int]]) -> bool:
     """Whether a venue shows the accumulating-design-articles trend:
     the mean of the later half of (non-censored, complete) blocks exceeds
-    the mean of the earlier half."""
+    the mean of the earlier half, over at least four blocks."""
     counts = [v for v in row.values() if v is not None]
-    if len(counts) < min_blocks:
+    if len(counts) < 4:
         return False
     # Drop the final (incomplete) block from the comparison.
     counts = counts[:-1]

@@ -23,6 +23,11 @@ from repro.bigdata.mapreduce import (
     solo_makespans,
 )
 
+#: The experiment's rebalancing interval, simulation step and horizon.
+REBALANCE_INTERVAL_S = 60.0
+STEP_S = 5.0
+HORIZON_S = 40_000.0
+
 
 class StaticAllocator:
     """Equal fixed split of the pool across tenants."""
@@ -90,10 +95,7 @@ class FawkesResult:
         return float(max(self.per_tenant_slowdown.values()))
 
 
-def run_fawkes_experiment(allocator, seed: int = 0,
-                          rebalance_interval_s: float = 60.0,
-                          step_s: float = 5.0,
-                          horizon_s: float = 40_000.0) -> FawkesResult:
+def run_fawkes_experiment(allocator, seed: int = 0) -> FawkesResult:
     """Two imbalanced tenants on one pool, with periodic rebalancing.
 
     Tenant A is bursty-heavy, tenant B sparse-light; a static equal split
@@ -110,7 +112,7 @@ def run_fawkes_experiment(allocator, seed: int = 0,
             rng, n_jobs=3, mean_work=800.0, arrival_rate=1 / 2000.0)),
     }
     baselines = {
-        name: solo_makespans(pool, state.jobs, step_s=step_s)
+        name: solo_makespans(pool, state.jobs, step_s=STEP_S)
         for name, state in tenants.items()
     }
     # Fresh simulators share the clock; cluster objects are re-scaled at
@@ -118,10 +120,10 @@ def run_fawkes_experiment(allocator, seed: int = 0,
     weights = {name: 1.0 / len(tenants) for name in tenants}
     for name, state in tenants.items():
         state.simulator = MRSimulator(pool.scaled(weights[name]),
-                                      state.jobs, step_s=step_s)
+                                      state.jobs, step_s=STEP_S)
     now = 0.0
     next_rebalance = 0.0
-    while now < horizon_s:
+    while now < HORIZON_S:
         if all(j.done for state in tenants.values() for j in state.jobs):
             break
         if now >= next_rebalance:
@@ -132,10 +134,10 @@ def run_fawkes_experiment(allocator, seed: int = 0,
             weights = allocator.weights(demands)
             for name, state in tenants.items():
                 state.simulator.cluster = pool.scaled(weights[name])
-            next_rebalance = now + rebalance_interval_s
+            next_rebalance = now + REBALANCE_INTERVAL_S
         for state in tenants.values():
             state.simulator.step(now)
-        now += step_s
+        now += STEP_S
     else:
         raise RuntimeError("fawkes experiment did not finish in horizon")
 

@@ -25,6 +25,12 @@ import numpy as np
 #: Resource classes of the engine.
 RESOURCE_CLASSES = ("cpu", "disk", "network")
 
+#: Lognormal sigma of a job's map volume: the straggler tail.
+STRAGGLER_SIGMA = 0.6
+
+#: Steps a simulation may take before it is declared stuck.
+MAX_STEPS = 500_000
+
 
 class MRPhase(enum.Enum):
     PENDING = "pending"
@@ -121,20 +127,18 @@ class MRCluster:
 
 def generate_mr_jobs(rng: np.random.Generator, n_jobs: int,
                      mean_work: float = 2000.0,
-                     straggler_sigma: float = 0.6,
-                     arrival_rate: float = 1 / 120.0,
-                     shuffle_ratio: float = 0.8) -> list[MRJob]:
+                     arrival_rate: float = 1 / 120.0) -> list[MRJob]:
     """Jobs with lognormal phase volumes (stragglers in the tail)."""
-    mu = math.log(mean_work) - straggler_sigma**2 / 2
+    mu = math.log(mean_work) - STRAGGLER_SIGMA**2 / 2
     jobs = []
     t = 0.0
     for i in range(n_jobs):
         t += float(rng.exponential(1.0 / arrival_rate))
-        map_work = float(rng.lognormal(mu, straggler_sigma))
+        map_work = float(rng.lognormal(mu, STRAGGLER_SIGMA))
         jobs.append(MRJob(
             name=f"job-{i:03d}",
             map_work=map_work,
-            shuffle_work=max(map_work * shuffle_ratio
+            shuffle_work=max(map_work * 0.8
                              * float(rng.uniform(0.5, 1.5)), 1.0),
             reduce_work=max(map_work * 0.5
                             * float(rng.uniform(0.5, 1.5)), 1.0),
@@ -148,13 +152,12 @@ class MRSimulator:
     """Time-stepped proportional-share execution of MapReduce jobs."""
 
     def __init__(self, cluster: MRCluster, jobs: Sequence[MRJob],
-                 step_s: float = 5.0, max_steps: int = 500_000):
+                 step_s: float = 5.0):
         if step_s <= 0:
             raise ValueError("step_s must be positive")
         self.cluster = cluster
         self.jobs = sorted(jobs, key=lambda j: j.submit_time)
         self.step_s = step_s
-        self.max_steps = max_steps
         self.times: list[float] = []
         #: Utilization per resource class per step, in [0, 1].
         self.utilization: dict[str, list[float]] = {
@@ -211,25 +214,24 @@ class MRSimulator:
         if not self.jobs:
             raise ValueError("no jobs to run")
         now = self.jobs[0].submit_time
-        for _ in range(self.max_steps):
+        for _ in range(MAX_STEPS):
             if all(j.done for j in self.jobs):
                 return
             self.step(now)
             now += self.step_s
         raise RuntimeError(
-            f"simulation did not finish in {self.max_steps} steps")
+            f"simulation did not finish in {MAX_STEPS} steps")
 
     # -- derived signals -----------------------------------------------------
-    def bottleneck_series(self, busy_threshold: float = 0.6
-                          ) -> list[Optional[str]]:
+    def bottleneck_series(self) -> list[Optional[str]]:
         """Per step: the saturated resource with the highest utilization,
-        or None when nothing is meaningfully busy."""
+        or None when nothing is at least 60% busy."""
         series = []
         for idx in range(len(self.times)):
             best = max(RESOURCE_CLASSES,
                        key=lambda r: (self.utilization[r][idx], r))
             series.append(best if self.utilization[best][idx]
-                          >= busy_threshold else None)
+                          >= 0.6 else None)
         return series
 
     def mean_slowdown(self, solo_makespans: dict[str, float]) -> float:

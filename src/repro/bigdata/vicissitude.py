@@ -75,10 +75,10 @@ def detect_vicissitude(series: Sequence[Optional[str]]) -> BottleneckTrace:
     )
 
 
-def run_vicissitude_experiment(seed: int = 0, n_jobs: int = 12,
-                               concurrency: str = "contended",
-                               step_s: float = 5.0) -> BottleneckTrace:
-    """The [38]-style experiment.
+def run_vicissitude_experiment(seed: int = 0,
+                               concurrency: str = "contended"
+                               ) -> BottleneckTrace:
+    """The [38]-style experiment: 12 jobs, 5 s steps.
 
     ``concurrency``:
 
@@ -92,8 +92,8 @@ def run_vicissitude_experiment(seed: int = 0, n_jobs: int = 12,
     rate = {"solo": 1 / 5000.0, "contended": 1 / 60.0}.get(concurrency)
     if rate is None:
         raise ValueError("concurrency must be 'solo' or 'contended'")
-    jobs = generate_mr_jobs(rng, n_jobs=n_jobs, arrival_rate=rate)
+    jobs = generate_mr_jobs(rng, n_jobs=12, arrival_rate=rate)
     cluster = MRCluster("dc", cpu=48.0, disk=36.0, network=24.0)
-    sim = MRSimulator(cluster, jobs, step_s=step_s)
+    sim = MRSimulator(cluster, jobs)
     sim.run()
     return detect_vicissitude(sim.bottleneck_series())

@@ -11,7 +11,8 @@ Three subcommands close the fuzzing loop:
   failures reproduce exactly.
 
 A clean campaign exits 0; a campaign with failures exits 1, so CI can
-gate on it directly.
+gate on it directly. Bad input (an invalid option, a ``--world-kwarg``
+the world does not take, a missing or malformed repro file) exits 2.
 """
 
 from __future__ import annotations
@@ -104,7 +105,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_shrink(args) -> int:
-    data = load_repro(Path(args.input).read_text())
+    try:
+        data = load_repro(Path(args.input).read_text())
+    except (OSError, ValueError) as err:  # bad input, not a verdict
+        print(f"error: {args.input}: {err}", file=sys.stderr)
+        return 2
     schedule = FaultSchedule.from_dict(data["schedule"])
     result = shrink_schedule(
         schedule,
@@ -125,7 +130,11 @@ def _cmd_shrink(args) -> int:
 
 
 def _cmd_repro(args) -> int:
-    data = load_repro(Path(args.file).read_text())
+    try:
+        data = load_repro(Path(args.file).read_text())
+    except (OSError, ValueError) as err:  # bad input, not a verdict
+        print(f"error: {args.file}: {err}", file=sys.stderr)
+        return 2
     outcome = replay_repro(data)
     print(outcome.describe())
     if outcome.verdict_summary:

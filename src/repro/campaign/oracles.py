@@ -26,6 +26,7 @@ workers and byte-identical however many shards executed them.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -49,6 +50,25 @@ WORLD_RUNNERS = {
     "partition": run_partition_scenario,
     "failover": run_failover_scenario,
 }
+
+#: World-runner arguments that ``execute_schedule`` sets from the schedule.
+OWNED_WORLD_KWARGS = frozenset({"seed", "episodes", "sim_budget_s",
+                                "invariant_halt", "registry"})
+
+
+def check_world_kwargs(kwargs, worlds) -> None:
+    """Reject extra world kwargs that the schedule owns or that the runner
+    of one of ``worlds`` does not take, before any schedule runs."""
+    owned = sorted(OWNED_WORLD_KWARGS.intersection(kwargs))
+    if owned:  # a verdict must describe the run that was executed
+        raise ValueError(f"extra_world_kwargs may not set {owned}: "
+                         "execute_schedule sets them from the schedule")
+    for world in sorted(set(worlds)):
+        params = inspect.signature(WORLD_RUNNERS[world]).parameters
+        unknown = sorted(set(kwargs) - set(params))
+        if unknown:
+            raise ValueError(f"the {world} world takes no keyword "
+                             f"argument {unknown}")
 
 
 @dataclass(frozen=True)
@@ -259,11 +279,7 @@ class OracleStack:
 
     def __init__(self, oracles=None, *, double_run: bool = True,
                  extra_world_kwargs: Optional[dict] = None):
-        owned = sorted({"seed", "episodes", "sim_budget_s", "invariant_halt",
-                        "registry"}.intersection(extra_world_kwargs or ()))
-        if owned:  # a verdict must describe the run that was executed
-            raise ValueError(f"extra_world_kwargs may not set {owned}: "
-                             "execute_schedule sets them from the schedule")
+        check_world_kwargs(extra_world_kwargs or (), ())
         self.oracles = oracles
         self.double_run = double_run
         self.extra_world_kwargs = dict(extra_world_kwargs or {})

@@ -29,6 +29,7 @@ from typing import Optional
 from repro.campaign.oracles import (
     OracleStack,
     RunVerdict,
+    check_world_kwargs,
     merge_metrics,
 )
 from repro.campaign.schedule import (
@@ -65,6 +66,9 @@ class CampaignConfig:
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
+        check_world_kwargs(self.extra_world_kwargs, self.worlds
+                           if self.envelopes is None else
+                           [envelope.world for envelope in self.envelopes])
 
     def resolved_envelopes(self) -> tuple:
         if self.envelopes is not None:

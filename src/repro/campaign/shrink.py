@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from repro.campaign.oracles import OracleStack
+from repro.campaign.oracles import OracleStack, check_world_kwargs
 from repro.campaign.schedule import FaultSchedule
 
 __all__ = [
@@ -172,7 +172,6 @@ class _Shrinker:
 
 
 def shrink_schedule(schedule: FaultSchedule, *,
-                    oracles=None,
                     extra_world_kwargs: Optional[dict] = None,
                     target_failures=None,
                     max_executions: int = 150) -> ShrinkResult:
@@ -184,7 +183,7 @@ def shrink_schedule(schedule: FaultSchedule, *,
     guesses. ``max_executions`` bounds total re-runs; the result is the
     best schedule found within that budget.
     """
-    stack = OracleStack(oracles, double_run=False,
+    stack = OracleStack(double_run=False,
                         extra_world_kwargs=extra_world_kwargs)
     baseline = stack.evaluate(schedule)
     if baseline.passed:
@@ -228,9 +227,11 @@ def repro_dict(schedule: FaultSchedule, failures,
 
 def load_repro(text: str) -> dict:
     data = json.loads(text)
-    if data.get("format") != REPRO_FORMAT:
-        raise ValueError(f"not a campaign repro file "
-                         f"(format {data.get('format')!r})")
+    found = data.get("format") if isinstance(data, dict) else None
+    if found != REPRO_FORMAT:
+        raise ValueError(f"not a campaign repro file (format {found!r})")
+    check_world_kwargs(data.get("extra_world_kwargs") or {},
+                       [data["schedule"]["world"]])
     return data
 
 

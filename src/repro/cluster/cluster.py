@@ -28,11 +28,11 @@ class Cluster:
 
     @classmethod
     def homogeneous(cls, name: str, n_machines: int, cores: int = 8,
-                    speed: float = 1.0, memory_gb: float = 32.0) -> "Cluster":
-        """Convenience constructor for identical machines."""
+                    speed: float = 1.0) -> "Cluster":
+        """Convenience constructor for identical 32 GB machines."""
         machines = [
             Machine(f"{name}-m{i:04d}", cores=cores, speed=speed,
-                    memory_gb=memory_gb)
+                    memory_gb=32.0)
             for i in range(n_machines)
         ]
         return cls(name, machines)

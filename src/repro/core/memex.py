@@ -109,8 +109,8 @@ class DistributedSystemsMemex:
         return sorted({e.domain for e in self.entries})
 
     # -- heritage audit -----------------------------------------------------
-    def heritage_report(self, first_year: int, last_year: int,
-                        decade_size: int = 10) -> dict[str, Any]:
+    def heritage_report(self, first_year: int,
+                        last_year: int) -> dict[str, Any]:
         """Where are we losing heritage?
 
         Reports, per domain, the decades with nothing preserved, plus the
@@ -119,14 +119,13 @@ class DistributedSystemsMemex:
         """
         if last_year < first_year:
             raise ValueError("last_year must be >= first_year")
-        decades = list(range(first_year - first_year % decade_size,
-                             last_year + 1, decade_size))
+        decades = list(range(first_year - first_year % 10, last_year + 1, 10))
         gaps: dict[str, list[int]] = {}
         for domain in self.domains():
             years = {e.year for e in self.entries if e.domain == domain}
             gaps[domain] = [
                 d for d in decades
-                if not any(d <= y < d + decade_size for y in years)
+                if not any(d <= y < d + 10 for y in years)
             ]
         missing_provenance = sorted(
             e.name for e in self.entries

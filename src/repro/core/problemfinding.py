@@ -19,6 +19,8 @@ from typing import Iterable, Optional
 from repro.core.catalog import PROBLEM_ARCHETYPES, PROBLEM_SOURCES
 from repro.core.space import Candidate, DesignSpace
 
+#: Largest field that coverage and gap queries enumerate cell by cell.
+MAX_ENUMERATED_CELLS = 100_000
 
 @dataclass(frozen=True)
 class KnownSystem:
@@ -79,21 +81,14 @@ class MorphologicalField:
     def occupied(self, candidate: Candidate) -> list[KnownSystem]:
         return [s for s in self.known_systems if s.covers(candidate)]
 
-    def coverage_fraction(self, limit: int = 100_000) -> float:
+    def coverage_fraction(self) -> float:
         """Fraction of the field occupied by at least one system."""
-        if self.space.size > limit:
-            raise ValueError(
-                f"field too large to enumerate ({self.space.size} cells)")
-        total = occupied = 0
-        for candidate in self.space.all_candidates():
-            total += 1
-            if self.occupied(candidate):
-                occupied += 1
-        return occupied / total if total else 1.0
+        total = self.space.size
+        return (total - len(self.gaps())) / total
 
-    def gaps(self, limit: int = 100_000) -> list[Candidate]:
+    def gaps(self) -> list[Candidate]:
         """All unoccupied cells — the unexplored niches."""
-        if self.space.size > limit:
+        if self.space.size > MAX_ENUMERATED_CELLS:
             raise ValueError(
                 f"field too large to enumerate ({self.space.size} cells)")
         return [c for c in self.space.all_candidates()
@@ -129,15 +124,14 @@ class ProblemCollector:
         """S1: peer-reviewed studies on ecosystems."""
         return self._add(title, archetype, "S1", detail)
 
-    def from_experts(self, title: str, archetype: str,
-                     detail: str = "") -> ProblemStatement:
+    def from_experts(self, title: str, archetype: str) -> ProblemStatement:
         """S2: expert discussion, tech reports, best-practice books."""
-        return self._add(title, archetype, "S2", detail)
+        return self._add(title, archetype, "S2", "")
 
-    def from_own_experiments(self, title: str, archetype: str,
-                             detail: str = "") -> ProblemStatement:
+    def from_own_experiments(self, title: str,
+                             archetype: str) -> ProblemStatement:
         """S3: own thought and lab experiments."""
-        return self._add(title, archetype, "S3", detail)
+        return self._add(title, archetype, "S3", "")
 
     def _add(self, title: str, archetype: str, source: str,
              detail: str) -> ProblemStatement:

@@ -80,11 +80,10 @@ class DesignDocument:
     events: list[ProvenanceEvent] = field(default_factory=list)
 
     def log(self, iteration: int, stage: Union[Stage, str], action: str,
-            note: str = "", payload: Any = None) -> None:
+            note: str = "") -> None:
         name = stage.name if isinstance(stage, Stage) else str(stage)
         self.events.append(ProvenanceEvent(
-            iteration=iteration, stage=name, action=action, note=note,
-            payload=payload))
+            iteration=iteration, stage=name, action=action, note=note))
 
     def iterations(self) -> int:
         return max((e.iteration for e in self.events), default=-1) + 1
@@ -159,8 +158,6 @@ class BasicDesignCycle:
                  skip_policy: Optional[Callable[[Stage, int, dict], bool]] = None,
                  target: StoppingCriterion = StoppingCriterion.SATISFICED,
                  budget: int = 200,
-                 portfolio_size: int = PORTFOLIO_SIZE,
-                 systematic_size: int = SYSTEMATIC_SIZE,
                  space_size: Optional[int] = None):
         if budget <= 0:
             raise ValueError("budget must be positive")
@@ -172,17 +169,15 @@ class BasicDesignCycle:
         self.skip_policy = skip_policy or (lambda stage, i, ctx: False)
         self.target = target
         self.budget = budget
-        self.portfolio_size = portfolio_size
-        self.systematic_size = systematic_size
         self.space_size = space_size
 
     def _target_met(self, answers: list[Any]) -> bool:
         if self.target is StoppingCriterion.SATISFICED:
             return len(answers) >= 1
         if self.target is StoppingCriterion.PORTFOLIO:
-            return len(answers) >= self.portfolio_size
+            return len(answers) >= PORTFOLIO_SIZE
         if self.target is StoppingCriterion.SYSTEMATIC:
-            return len(answers) >= self.systematic_size
+            return len(answers) >= SYSTEMATIC_SIZE
         if self.target is StoppingCriterion.EXHAUSTED:
             if self.space_size is None:
                 raise ValueError(

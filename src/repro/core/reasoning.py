@@ -107,7 +107,6 @@ def reason(universe: Universe, mode: ReasoningMode,
            what: Optional[tuple[str, ...]] = None,
            how: Optional[str] = None,
            outcome: Any = None,
-           arity: int = 2,
            max_frames: Optional[int] = None) -> ReasoningResult:
     """Run one reasoning mode over the universe.
 
@@ -115,7 +114,7 @@ def reason(universe: Universe, mode: ReasoningMode,
     - INDUCTION: ``what`` + ``outcome`` given; finds relationships that
       produce the outcome.
     - ABDUCTION_PROBLEM_SOLVING: ``how`` + ``outcome`` given; finds concept
-      tuples that produce the outcome.
+      pairs that produce the outcome.
     - ABDUCTION_DESIGN: only ``outcome`` given; searches the full product
       space of concepts × relationships.
     - UNREASONING: accepts any frame without evaluation (and is thus
@@ -150,7 +149,7 @@ def reason(universe: Universe, mode: ReasoningMode,
     if mode is ReasoningMode.ABDUCTION_PROBLEM_SOLVING:
         if how is None:
             raise ValueError("problem-solving abduction needs how")
-        for candidate in universe.concept_tuples(arity):
+        for candidate in universe.concept_tuples(2):
             result.examined += 1
             try:
                 value = universe.apply(how, candidate)
@@ -165,7 +164,7 @@ def reason(universe: Universe, mode: ReasoningMode,
 
     if mode is ReasoningMode.ABDUCTION_DESIGN:
         for name in sorted(universe.relationships):
-            for candidate in universe.concept_tuples(arity):
+            for candidate in universe.concept_tuples(2):
                 result.examined += 1
                 try:
                     value = universe.apply(name, candidate)

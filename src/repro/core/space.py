@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -109,16 +110,10 @@ class DesignSpace:
 
     def all_candidates(self) -> Iterable[Candidate]:
         """Exhaustive enumeration (use only for small spaces)."""
-        def rec(idx: int, partial: dict[str, str]):
-            if idx == len(self.dimensions):
-                yield Candidate(tuple(sorted(partial.items())))
-                return
-            dim = self.dimensions[idx]
-            for option in dim.options:
-                partial[dim.name] = option
-                yield from rec(idx + 1, partial)
-            del dim
-        yield from rec(0, {})
+        names = [d.name for d in self.dimensions]
+        for options in itertools.product(*(d.options
+                                           for d in self.dimensions)):
+            yield Candidate(tuple(sorted(zip(names, options))))
 
     def restrict(self, fixed: dict[str, str]) -> "DesignSpace":
         """The sub-space with some dimensions pinned (Fix-the-What)."""
@@ -250,16 +245,15 @@ class RuggedLandscape:
             total += self._contribution(i, key)
         return total / len(names)
 
-    def shifted(self, delta_epochs: int = 1) -> "RuggedLandscape":
-        """The same landscape family, in a later epoch (problem evolved)."""
+    def shifted(self) -> "RuggedLandscape":
+        """The same landscape family, in the next epoch (problem evolved)."""
         return RuggedLandscape(self.space, seed=self.seed, k=self.k,
-                               epoch=self.epoch + delta_epochs)
+                               epoch=self.epoch + 1)
 
-    def best_quality(self, sample: int = 2048,
-                     rng: Optional[np.random.Generator] = None) -> float:
-        """Estimate of the global optimum (exact for small spaces)."""
-        if self.space.size <= sample:
+    def best_quality(self) -> float:
+        """Estimate of the global optimum from 2048 samples, exact below."""
+        if self.space.size <= 2048:
             return max(self(c) for c in self.space.all_candidates())
-        rng = rng or np.random.default_rng(self.seed)
+        rng = np.random.default_rng(self.seed)
         return max(self(self.space.random_candidate(rng))
-                   for _ in range(sample))
+                   for _ in range(2048))

@@ -116,13 +116,11 @@ def run_serverless_scenario(seed: int = 0, error_rate: float = 0.0,
 
 def run_overload_scenario(seed: int = 0, admission: bool = False,
                           n_invocations: int = 600,
-                          rate_per_s: float = 50.0,
-                          runtime_s: float = 0.2,
                           tracer=None, registry=None) -> dict:
     """A flash crowd against a capacity-capped FaaS platform.
 
-    Offered load (``rate_per_s``) exceeds capacity (8 concurrent slots,
-    ``8 / runtime_s`` per second). Without admission the 64-slot queue
+    Offered load (50 per second) exceeds capacity (8 concurrent slots of
+    0.2 s each, 40 per second). Without admission the 64-slot queue
     fills, every admitted request marinates behind it, and the tail
     collapses; with admission a token bucket (36/s, burst 16) sheds the
     excess at the front door, the CoDel shedder drops requests that
@@ -149,11 +147,11 @@ def run_overload_scenario(seed: int = 0, admission: bool = False,
                        concurrency_limit=8, prewarmed=8, queue_capacity=64),
         admitter=admitter, shedder=shedder, brownout=brownout,
         tracer=tracer, registry=registry)
-    platform.deploy(FunctionSpec("f", runtime_s=runtime_s, memory_gb=0.5))
+    platform.deploy(FunctionSpec("f", runtime_s=0.2, memory_gb=0.5))
     env.process(_arrivals(env, streams.get("overload-arrivals"),
-                          n_invocations, rate_per_s, (),
+                          n_invocations, 50.0, (),
                           lambda: platform.invoke("f")))
-    duration = n_invocations / rate_per_s + 30.0
+    duration = n_invocations / 50.0 + 30.0
     env.run(until=duration)
     if brownout is not None:
         brownout.finish(env.now)

@@ -116,20 +116,12 @@ class MessageLossModel:
         return mb - lost
 
 
-def _default_is_up(target: Any) -> bool:
+def _is_up(target: Any) -> bool:
     up = getattr(target, "is_up", None)
     if up is not None:
         return up() if callable(up) else bool(up)
     raise TypeError(
-        f"{target!r} has no is_up; pass is_up= to the fault model")
-
-
-def _default_fail(target: Any) -> None:
-    target.fail()
-
-
-def _default_repair(target: Any) -> None:
-    target.repair()
+        f"{target!r} has no is_up; a crash-restart target needs one")
 
 
 class CrashRestart:
@@ -140,17 +132,14 @@ class CrashRestart:
     ``mtbf / (mtbf + mttr)``; :meth:`empirical_availability` measures the
     realized one so tests can assert the model is well calibrated.
 
-    Targets need ``fail()``/``repair()`` methods and an ``is_up`` predicate
-    (overridable via the ``fail``/``repair``/``is_up`` hooks), which lets the
-    same model drive cluster machines, serverless instance pools, or peers.
+    Targets need ``fail()``/``repair()`` methods and an ``is_up`` predicate,
+    which lets the same model drive cluster machines, serverless instance
+    pools, or peers.
     """
 
     def __init__(self, env: Environment, targets: Sequence[Any],
                  rng: np.random.Generator,
                  mtbf_s: float, mttr_s: float,
-                 fail: Callable[[Any], None] = _default_fail,
-                 repair: Callable[[Any], None] = _default_repair,
-                 is_up: Callable[[Any], bool] = _default_is_up,
                  on_fail: Optional[Callable[[Any], None]] = None,
                  on_repair: Optional[Callable[[Any], None]] = None,
                  monitor: Optional[Monitor] = None,
@@ -162,9 +151,6 @@ class CrashRestart:
         self.rng = rng
         self.mtbf_s = mtbf_s
         self.mttr_s = mttr_s
-        self._fail = fail
-        self._repair = repair
-        self._is_up = is_up
         self.on_fail = on_fail
         self.on_repair = on_repair
         self.monitor = Monitor(env) if monitor is None else monitor
@@ -187,7 +173,7 @@ class CrashRestart:
             # rather than crash-on-repair, which would skew the effective
             # MTBF and double-count the outage.
             yield self.env.timeout(float(self.rng.exponential(self.mtbf_s)))
-            if not self._is_up(target):
+            if not _is_up(target):
                 continue
             self.fail_now(target)
             yield self.env.timeout(float(self.rng.exponential(self.mttr_s)))
@@ -195,7 +181,7 @@ class CrashRestart:
 
     # -- manual triggers --------------------------------------------------
     def fail_now(self, target: Any) -> None:
-        self._fail(target)
+        target.fail()
         self._down_since[id(target)] = self.env.now
         self.monitor.count(f"{self.name}_failures",
                            key=getattr(target, "name", None))
@@ -203,7 +189,7 @@ class CrashRestart:
             self.on_fail(target)
 
     def repair_now(self, target: Any) -> None:
-        self._repair(target)
+        target.repair()
         down_since = self._down_since.pop(id(target), None)
         if down_since is not None:
             self._downtime_s += self.env.now - down_since
@@ -217,9 +203,9 @@ class CrashRestart:
     def expected_availability(self) -> float:
         return self.mtbf_s / (self.mtbf_s + self.mttr_s)
 
-    def empirical_availability(self, until: Optional[float] = None) -> float:
-        """Realized time-averaged availability across all targets."""
-        until = self.env.now if until is None else until
+    def empirical_availability(self) -> float:
+        """Realized time-averaged availability across all targets so far."""
+        until = self.env.now
         horizon = until - self._started_at
         if horizon <= 0 or not self.targets:
             return 1.0

@@ -90,8 +90,7 @@ class NetworkPartitionModel:
                  episodes: Iterable[PartitionEpisode],
                  monitor: Optional[Monitor] = None,
                  on_split: Optional[Callable[[PartitionEpisode], None]] = None,
-                 on_heal: Optional[Callable[[PartitionEpisode], None]] = None,
-                 name: str = "partition"):
+                 on_heal: Optional[Callable[[PartitionEpisode], None]] = None):
         self.env = env
         self.groups = {g: list(members) for g, members in groups.items()}
         self.episodes = sorted(episodes,
@@ -108,7 +107,7 @@ class NetworkPartitionModel:
         self.monitor = Monitor(env) if monitor is None else monitor
         self.on_split = on_split
         self.on_heal = on_heal
-        self.name = name
+        self.name = "partition"
         if self.episodes:
             env.process(self._timeline())
 
@@ -290,8 +289,7 @@ class ScheduledMessageLoss:
 
     def __init__(self, env: Environment, rng: np.random.Generator,
                  episodes: Iterable[tuple],
-                 protected_kinds: Sequence[str] = _LOSS_PROTECTED_KINDS,
-                 monitor: Optional[Monitor] = None, name: str = "loss"):
+                 monitor: Optional[Monitor] = None):
         self.env = env
         self.rng = rng
         self.episodes = [(float(a), float(b), float(r))
@@ -302,16 +300,16 @@ class ScheduledMessageLoss:
                                  "0 <= start < end")
             if not 0.0 <= r < 1.0:
                 raise ValueError(f"loss rate {r} not in [0, 1)")
-        self.protected_kinds = tuple(protected_kinds)
+        self.protected_kinds = _LOSS_PROTECTED_KINDS
         self.monitor = Monitor(env) if monitor is None else monitor
-        self.name = name
+        self.name = "loss"
 
     dropped_messages = property(
         lambda self: self.monitor.total("dropped_messages"))
 
-    def active_rate(self, now: Optional[float] = None) -> float:
-        """The loss rate in force at ``now`` (0 outside every window)."""
-        now = self.env.now if now is None else now
+    def active_rate(self) -> float:
+        """The loss rate in force now (0 outside every window)."""
+        now = self.env.now
         rate = 0.0
         for a, b, r in self.episodes:
             if a <= now < b and r > rate:

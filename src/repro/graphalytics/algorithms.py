@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 import networkx as nx
 import numpy as np
@@ -50,11 +50,9 @@ def bfs(graph: nx.Graph, source: Any) -> AlgorithmResult:
                            edges_visited=edges_visited)
 
 
-def pagerank(graph: nx.Graph, damping: float = 0.85,
-             max_iterations: int = 30,
-             tolerance: float = 1e-6) -> AlgorithmResult:
-    """Power-iteration PageRank (the fixed-iteration LDBC variant with an
-    early-out on convergence)."""
+def pagerank(graph: nx.Graph, max_iterations: int = 30) -> AlgorithmResult:
+    """Power-iteration PageRank, damping 0.85 (the fixed-iteration LDBC
+    variant with an early-out once the L1 change drops below 1e-6)."""
     n = graph.number_of_nodes()
     if n == 0:
         return AlgorithmResult("pagerank", {}, 0, 0)
@@ -66,8 +64,8 @@ def pagerank(graph: nx.Graph, damping: float = 0.85,
     edges_visited = 0
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        new_rank = np.full(n, (1 - damping) / n)
-        contrib = damping * rank / out_degree
+        new_rank = np.full(n, (1 - 0.85) / n)
+        contrib = 0.85 * rank / out_degree
         for v in nodes:
             i = index[v]
             for w in graph.neighbors(v):
@@ -75,7 +73,7 @@ def pagerank(graph: nx.Graph, damping: float = 0.85,
                 edges_visited += 1
         delta = np.abs(new_rank - rank).sum()
         rank = new_rank
-        if delta < tolerance:
+        if delta < 1e-6:
             break
     return AlgorithmResult("pagerank",
                            {v: float(rank[index[v]]) for v in nodes},
@@ -147,9 +145,9 @@ def lcc(graph: nx.Graph) -> AlgorithmResult:
                            edges_visited=edges_visited)
 
 
-def sssp(graph: nx.Graph, source: Any,
-         weight: str = "weight") -> AlgorithmResult:
-    """Single-source shortest paths (Dijkstra; unit weights if absent)."""
+def sssp(graph: nx.Graph, source: Any) -> AlgorithmResult:
+    """Single-source shortest paths (Dijkstra over the ``weight`` edge
+    attribute; unit weights if absent)."""
     if source not in graph:
         raise KeyError(f"source {source!r} not in graph")
     import heapq
@@ -165,7 +163,7 @@ def sssp(graph: nx.Graph, source: Any,
         settled.add(u)
         for w in graph.neighbors(u):
             edges_visited += 1
-            step = graph[u][w].get(weight, 1.0)
+            step = graph[u][w].get("weight", 1.0)
             if d + step < dist[w]:
                 dist[w] = d + step
                 heapq.heappush(heap, (dist[w], w))
@@ -184,17 +182,15 @@ ALGORITHMS: dict[str, tuple] = {
 }
 
 
-def run_algorithm(name: str, graph: nx.Graph,
-                  source: Optional[Any] = None) -> AlgorithmResult:
-    """Dispatch one kernel, picking a default source where needed."""
+def run_algorithm(name: str, graph: nx.Graph) -> AlgorithmResult:
+    """Dispatch one kernel; one that needs a source starts from the
+    smallest vertex."""
     if name not in ALGORITHMS:
         raise KeyError(f"unknown algorithm {name!r}; known: "
                        f"{sorted(ALGORITHMS)}")
     fn, needs_source = ALGORITHMS[name]
     if needs_source:
-        if source is None:
-            if graph.number_of_nodes() == 0:
-                raise ValueError("empty graph")
-            source = min(graph.nodes)
-        return fn(graph, source)
+        if graph.number_of_nodes() == 0:
+            raise ValueError("empty graph")
+        return fn(graph, min(graph.nodes))
     return fn(graph)

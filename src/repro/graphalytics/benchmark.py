@@ -9,10 +9,10 @@ rankings flip across (A, D) cells.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.graphalytics.datasets import make_dataset
-from repro.graphalytics.platforms import PLATFORMS, Platform, PlatformRun
+from repro.graphalytics.platforms import PLATFORMS, PlatformRun
 from repro.sim import RandomStreams
 
 
@@ -42,22 +42,21 @@ class BenchmarkReport:
         return [r for r in self.runs if r.failed]
 
 
-def run_benchmark(platforms: Optional[Sequence[Platform]] = None,
-                  algorithms: Sequence[str] = ("bfs", "pagerank", "wcc",
+def run_benchmark(algorithms: Sequence[str] = ("bfs", "pagerank", "wcc",
                                                "cdlp", "lcc", "sssp"),
                   datasets: Sequence[str] = ("scale-free", "small-world",
                                              "road", "random"),
                   n_vertices: int = 2000,
                   seed: int = 0,
                   work_scale: float = 300.0) -> BenchmarkReport:
-    """The Graphalytics sweep: every platform runs every algorithm on
-    every dataset (same graph instance per dataset across platforms).
+    """The Graphalytics sweep: every platform of :data:`PLATFORMS` runs
+    every algorithm on every dataset (same graph instance per dataset
+    across platforms).
 
     ``work_scale`` extrapolates the measured sample to a realistically
     sized dataset (see :meth:`Platform.model_time`).
     """
-    platforms = list(platforms) if platforms is not None else list(
-        PLATFORMS.values())
+    platforms = list(PLATFORMS.values())
     streams = RandomStreams(seed)
     report = BenchmarkReport()
     for dataset_name in datasets:
@@ -103,14 +102,12 @@ def pad_interaction_analysis(report: BenchmarkReport) -> dict[str, object]:
     }
 
 
-def hpad_analysis(report: BenchmarkReport,
-                  heterogeneous: Sequence[str] = ("gpu", "hybrid-cpu-gpu"),
-                  ) -> dict[str, object]:
+def hpad_analysis(report: BenchmarkReport) -> dict[str, object]:
     """The HPAD refinement ([106]): on heterogeneous hardware the 'H'
     dimension matters — heterogeneous platforms win only on the subset of
     (A, D) cells whose structure suits them, and can fail outright
     (device memory) elsewhere."""
-    het = set(heterogeneous)
+    het = {"gpu", "hybrid-cpu-gpu"}
     winners = report.winners()
     het_wins = [cell for cell, w in winners.items() if w in het]
     het_failures = [r for r in report.failures() if r.platform in het]

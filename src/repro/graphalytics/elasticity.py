@@ -53,6 +53,9 @@ DEFAULT_JOB: tuple[WorkPhase, ...] = (
     WorkPhase("tail", work=400_000.0, max_scale=1.5),
 )
 
+#: Work units processed per second per unit of capacity scale.
+BASE_RATE = 1000.0
+
 
 @dataclass
 class ElasticRun:
@@ -76,11 +79,11 @@ class ElasticRun:
 
 def run_elastic(job: Sequence[WorkPhase],
                 capacity: Sequence[CapacityPhase],
-                base_rate: float = 1000.0,
+                base_rate: float = BASE_RATE,
                 reconfig_penalty_s: float = 20.0,
-                label: str = "elastic",
-                max_time_s: float = 10**9) -> ElasticRun:
-    """Process the job's phases through the capacity timeline."""
+                label: str = "elastic") -> ElasticRun:
+    """Process the job's phases through the capacity timeline; a run
+    past 10**9 simulated seconds raises."""
     if not job:
         raise ValueError("job needs at least one phase")
     capacity = sorted(capacity, key=lambda p: p.start)
@@ -99,8 +102,8 @@ def run_elastic(job: Sequence[WorkPhase],
     remaining = job[0].work
     paused_until = 0.0
     while work_idx < len(job):
-        if t >= max_time_s:
-            raise RuntimeError(f"{label}: did not finish in {max_time_s}s")
+        if t >= 10**9:
+            raise RuntimeError(f"{label}: did not finish in {10**9}s")
         scale = capacity[cap_idx].scale
         # Next capacity boundary (if any).
         next_change = (capacity[cap_idx + 1].start
@@ -140,33 +143,32 @@ def run_elastic(job: Sequence[WorkPhase],
                       reconfiguration_time_s=reconfig_time)
 
 
-def elasticity_study(job: Sequence[WorkPhase] = DEFAULT_JOB,
-                     base_rate: float = 1000.0,
-                     small: float = 1.0, large: float = 8.0,
-                     reconfig_penalty_s: float = 20.0
+def elasticity_study(reconfig_penalty_s: float = 20.0
                      ) -> dict[str, ElasticRun]:
-    """The [111] comparison: static-small vs static-large vs elastic.
+    """The [111] comparison on :data:`DEFAULT_JOB`: static-small (scale 1)
+    vs static-large (scale 8) vs elastic.
 
     The elastic capacity timeline tracks each phase's useful parallelism
     (computed from the job's own structure, as a workflow-aware
     autoscaler would).
     """
-    static_small = run_elastic(job, [CapacityPhase(0.0, small)],
-                               base_rate, reconfig_penalty_s,
+    job = DEFAULT_JOB
+    static_small = run_elastic(job, [CapacityPhase(0.0, 1.0)],
+                               BASE_RATE, reconfig_penalty_s,
                                label="static-small")
-    static_large = run_elastic(job, [CapacityPhase(0.0, large)],
-                               base_rate, reconfig_penalty_s,
+    static_large = run_elastic(job, [CapacityPhase(0.0, 8.0)],
+                               BASE_RATE, reconfig_penalty_s,
                                label="static-large")
-    # Elastic: provision each phase's useful parallelism (capped by
-    # 'large'), transitioning at the phase boundaries it would hit.
+    # Elastic: provision each phase's useful parallelism (capped by the
+    # large scale), transitioning at the phase boundaries it would hit.
     phases = []
     t = 0.0
     for idx, wp in enumerate(job):
-        scale = min(wp.max_scale, large)
+        scale = min(wp.max_scale, 8.0)
         phases.append(CapacityPhase(t, scale))
-        t += wp.work / (base_rate * scale) + (
+        t += wp.work / (BASE_RATE * scale) + (
             reconfig_penalty_s if idx + 1 < len(job) else 0.0)
-    elastic = run_elastic(job, phases, base_rate, reconfig_penalty_s,
+    elastic = run_elastic(job, phases, BASE_RATE, reconfig_penalty_s,
                           label="elastic")
     return {run.label: run for run in (static_small, static_large,
                                        elastic)}

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Optional
 
 import networkx as nx
 
@@ -104,14 +104,14 @@ class Platform:
         )
 
     def run(self, algorithm: str, graph: nx.Graph, dataset_name: str,
-            source: Any = None, work_scale: float = 1.0) -> PlatformRun:
+            work_scale: float = 1.0) -> PlatformRun:
         """Execute the kernel and model the platform's runtime."""
         props = dataset_properties(dataset_name, graph)
         # Wall clock is deliberate here: it measures the *real* networkx
         # kernel execution for the diagnostic `wall_clock_s` field and
         # never feeds modeled (sim) time.
         t0 = time.perf_counter()  # simlint: disable=SL002
-        result = run_algorithm(algorithm, graph, source=source)
+        result = run_algorithm(algorithm, graph)
         wall = time.perf_counter() - t0  # simlint: disable=SL002
         try:
             breakdown = self.model_time(props, result, work_scale)

@@ -121,7 +121,7 @@ def front_door_conservation(door) -> ConservationLaw:
              Term("shed", lambda: door.shed)])
 
 
-def checkpoint_accounting(job, tol: float = 1e-6) -> ConservationLaw:
+def checkpoint_accounting(job) -> ConservationLaw:
     """The recovery ledger identity of one :class:`CheckpointedJob`.
 
     Only meaningful once the job finished (mid-run, the current phase's
@@ -132,7 +132,6 @@ def checkpoint_accounting(job, tol: float = 1e-6) -> ConservationLaw:
         name="checkpoint.accounting",
         description=("makespan == work + checkpoint_time + lost_work "
                      "+ recovery_time + downtime"),
-        tol=tol,
         when=lambda: job.finished_at is not None,
         lhs=[Term("makespan", lambda: (job.finished_at or 0.0)
                   - job.started_at)],
@@ -180,7 +179,6 @@ def fencing_conservation(control_plane) -> ConservationLaw:
 def standard_laws(network=None, scheduler=None, platform=None,
                   front_door=None,
                   jobs: Iterable = (),
-                  election=None,
                   control_plane=None) -> list[ConservationLaw]:
     """Every applicable catalog law for the components actually present."""
     laws: list[ConservationLaw] = []
@@ -196,8 +194,6 @@ def standard_laws(network=None, scheduler=None, platform=None,
     if control_plane is not None:
         laws.append(leader_uniqueness(control_plane.election))
         laws.append(fencing_conservation(control_plane))
-    elif election is not None:
-        laws.append(leader_uniqueness(election))
     for i, job in enumerate(jobs):
         law = checkpoint_accounting(job)
         if i:

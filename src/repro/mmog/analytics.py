@@ -43,14 +43,13 @@ class SessionRecord:
 def generate_sessions(rng: np.random.Generator,
                       n_players: int = 500,
                       days: int = 7,
-                      mean_sessions_per_day: float = 1.2,
-                      churn_per_day: float = 0.03,
-                      mean_session_s: float = 1800.0) -> list[SessionRecord]:
+                      churn_per_day: float = 0.03) -> list[SessionRecord]:
     """Power-law player activity with gradual churn.
 
-    Player i's activity weight follows a Zipf-like 1/(i+1)^0.8; each day
-    a ``churn_per_day`` fraction of the still-active population quits for
-    good.
+    Player i's activity weight follows a Zipf-like 1/(i+1)^0.8 around a
+    mean of 1.2 sessions a day, each lasting 60 s plus an exponential
+    with mean 1800 s; each day a ``churn_per_day`` fraction of the
+    still-active population quits for good.
     """
     if n_players < 1 or days < 1:
         raise ValueError("need at least one player and one day")
@@ -62,11 +61,11 @@ def generate_sessions(rng: np.random.Generator,
         quitters = rng.random(n_players) < churn_per_day
         active &= ~quitters
         for player_idx in np.nonzero(active)[0]:
-            lam = mean_sessions_per_day * weights[player_idx]
+            lam = 1.2 * weights[player_idx]
             n_sessions = rng.poisson(lam)
             for _ in range(n_sessions):
                 start = day * DAY_S + float(rng.uniform(0, DAY_S))
-                duration = float(rng.exponential(mean_session_s)) + 60.0
+                duration = float(rng.exponential(1800.0)) + 60.0
                 sessions.append(SessionRecord(
                     player=f"p{player_idx:04d}", start=start,
                     end=start + duration))

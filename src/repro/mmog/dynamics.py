@@ -100,9 +100,9 @@ class PopulationTrace:
 def simulate_population(rng: np.random.Generator,
                         genre: str = "mmorpg",
                         days: int = 7,
-                        base_arrivals_per_s: float = 0.05,
-                        sample_step_s: float = 300.0) -> PopulationTrace:
-    """Simulate session arrivals/departures; return the population signal.
+                        base_arrivals_per_s: float = 0.05) -> PopulationTrace:
+    """Simulate session arrivals/departures; return the population signal,
+    sampled every 300 s.
 
     Arrivals follow a diurnal non-homogeneous Poisson process whose base
     rate compounds daily at the genre's growth rate (and gets the weekend
@@ -128,7 +128,7 @@ def simulate_population(rng: np.random.Generator,
     durations = rng.lognormal(mu, profile.session_sigma,
                               size=len(arrivals))
     departures = np.asarray(arrivals) + durations
-    grid = np.arange(0.0, days * day + sample_step_s / 2, sample_step_s)
+    grid = np.arange(0.0, days * day + 300.0 / 2, 300.0)
     starts = np.searchsorted(np.asarray(arrivals), grid, side="right")
     ends = np.searchsorted(np.sort(departures), grid, side="right")
     population = (starts - ends).astype(float)

@@ -16,6 +16,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 SOLVED = (1, 2, 3, 4, 5, 6, 7, 8, 0)  # 0 is the blank
+#: Boards scrambled and graded before generation gives up.
+MAX_ATTEMPTS = 10_000
 _MOVES = {
     0: (1, 3), 1: (0, 2, 4), 2: (1, 5),
     3: (0, 4, 6), 4: (1, 3, 5, 7), 5: (2, 4, 8),
@@ -78,8 +80,8 @@ def scramble(rng: np.random.Generator, walk_length: int
 
 def generate_puzzles(rng: np.random.Generator,
                      count: int,
-                     difficulty_band: tuple[int, int] = (8, 16),
-                     max_attempts: int = 10_000) -> list[PuzzleInstance]:
+                     difficulty_band: tuple[int, int] = (8, 16)
+                     ) -> list[PuzzleInstance]:
     """Generate ``count`` puzzles whose optimal length lies in the band.
 
     The generate-and-grade loop is the POGGI core; the rejection rate is
@@ -90,7 +92,7 @@ def generate_puzzles(rng: np.random.Generator,
         raise ValueError("invalid difficulty band")
     puzzles: list[PuzzleInstance] = []
     attempts = 0
-    while len(puzzles) < count and attempts < max_attempts:
+    while len(puzzles) < count and attempts < MAX_ATTEMPTS:
         attempts += 1
         board = scramble(rng, walk_length=int(rng.integers(lo, 2 * hi)))
         difficulty = puzzle_difficulty(board, max_depth=hi)
@@ -100,5 +102,5 @@ def generate_puzzles(rng: np.random.Generator,
     if len(puzzles) < count:
         raise RuntimeError(
             f"only generated {len(puzzles)}/{count} puzzles in "
-            f"{max_attempts} attempts")
+            f"{MAX_ATTEMPTS} attempts")
     return puzzles

@@ -289,16 +289,14 @@ def run_brownout_provisioning(
 
 
 def static_provisioning(demand: Sequence[float],
-                        players_per_server: int = 100,
-                        step_s: float = 300.0,
                         percentile: float = 100.0) -> ProvisioningResult:
-    """The non-elastic baseline: size the fleet for a demand percentile."""
+    """The non-elastic baseline: size the fleet of 100-player servers for
+    a demand percentile, over 300 s samples."""
     demand_arr = np.asarray(demand, dtype=float)
-    target = math.ceil(
-        np.percentile(demand_arr, percentile) / players_per_server)
+    target = math.ceil(np.percentile(demand_arr, percentile) / 100)
     provisioned = np.full(demand_arr.size, max(target, 1), dtype=float)
     return ProvisioningResult(
         predictor=f"static-p{percentile:g}",
-        players_per_server=players_per_server, step_s=step_s,
+        players_per_server=100, step_s=300.0,
         demand=demand_arr, provisioned=provisioned,
-        server_hours=float(provisioned.sum() * step_s / 3600.0))
+        server_hours=float(provisioned.sum() * 300.0 / 3600.0))

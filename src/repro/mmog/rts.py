@@ -13,7 +13,7 @@ frame computation to the cloud.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -110,22 +110,19 @@ class MirrorOffload:
         remote = frame_cost * offload_fraction / self.cloud_speed + self.rtt_s
         return max(local, remote)
 
-    def best_offload(self, frame_cost: float,
-                     grid: int = 101) -> tuple[float, float]:
-        """(fraction, frame_time) minimizing frame time."""
-        fractions = np.linspace(0, 1, grid)
+    def best_offload(self, frame_cost: float) -> tuple[float, float]:
+        """(fraction, frame_time) minimizing frame time, in steps of 1%."""
+        fractions = np.linspace(0, 1, 101)
         times = [self.frame_time(frame_cost, float(f)) for f in fractions]
         best = int(np.argmin(times))
         return float(fractions[best]), float(times[best])
 
 
-def replay_derived_workload(rng: np.random.Generator,
-                            n_pois: Optional[int] = None
-                            ) -> RTSWorkload:
-    """A workload with the replay-study shape ([81]): a few micromanaged
-    POIs of tens of entities, more casual POIs of hundreds, plus
-    background units."""
-    n_pois = n_pois if n_pois is not None else int(rng.integers(2, 6))
+def replay_derived_workload(rng: np.random.Generator) -> RTSWorkload:
+    """A workload with the replay-study shape ([81]): two to five POIs,
+    micromanaged ones of tens of entities and casual ones of hundreds,
+    plus background units."""
+    n_pois = int(rng.integers(2, 6))
     pois = []
     for i in range(n_pois):
         if rng.random() < 0.5:
@@ -140,8 +137,7 @@ def replay_derived_workload(rng: np.random.Generator,
                        background_entities=int(rng.integers(200, 1000)))
 
 
-def rtsenv_sweep(entity_counts: Sequence[int],
-                 frame_budget: float = 1 / 30.0) -> list[dict[str, float]]:
+def rtsenv_sweep(entity_counts: Sequence[int]) -> list[dict[str, float]]:
     """The RTSenv experiment: frame cost vs. unit count, all units in one
     uniform melee. Returns rows with cost and whether the frame budget (a
     playable 30 Hz) is blown — locating the scalability wall."""
@@ -154,6 +150,6 @@ def rtsenv_sweep(entity_counts: Sequence[int],
         rows.append({
             "entities": float(n),
             "frame_cost": cost,
-            "playable": float(cost <= frame_budget),
+            "playable": float(cost <= 1 / 30.0),
         })
     return rows

@@ -13,6 +13,8 @@ from typing import Sequence
 import networkx as nx
 import numpy as np
 
+#: Players per match.
+PARTY_SIZE = 4
 
 @dataclass(frozen=True)
 class CoPlayRecord:
@@ -96,7 +98,6 @@ def build_interaction_graph(records: Sequence[CoPlayRecord]
 
 def generate_coplay(rng: np.random.Generator, n_players: int = 60,
                     n_matches: int = 300, n_groups: int = 6,
-                    party_size: int = 4,
                     social_bias: float = 0.8) -> list[CoPlayRecord]:
     """Synthetic co-play with planted friend groups.
 
@@ -105,18 +106,18 @@ def generate_coplay(rng: np.random.Generator, n_players: int = 60,
     sampled uniformly (solo queue). Community detection should recover
     the planted groups when bias is high.
     """
-    if n_players < party_size:
-        raise ValueError("need at least party_size players")
+    if n_players < PARTY_SIZE:
+        raise ValueError(f"need at least {PARTY_SIZE} players")
     players = [f"player-{i:03d}" for i in range(n_players)]
     groups = np.array_split(np.arange(n_players), n_groups)
     records = []
     for match_id in range(n_matches):
         if rng.random() < social_bias:
             group = groups[int(rng.integers(0, n_groups))]
-            size = min(party_size, group.size)
+            size = min(PARTY_SIZE, group.size)
             idx = rng.choice(group, size=size, replace=False)
         else:
-            idx = rng.choice(n_players, size=party_size, replace=False)
+            idx = rng.choice(n_players, size=PARTY_SIZE, replace=False)
         records.append(CoPlayRecord(
             match_id=match_id,
             players=tuple(players[int(i)] for i in idx)))

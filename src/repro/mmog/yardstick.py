@@ -67,18 +67,17 @@ def run_yardstick(zone: Zone, max_bots: int = 500,
                            playability_floor_hz=playability_floor_hz)
 
 
-def capacity_study(soft_capacities: Sequence[int],
-                   hard_factor: float = 1.5,
-                   playability_floor_hz: float = 5.0
+def capacity_study(soft_capacities: Sequence[int]
                    ) -> list[dict[str, float]]:
     """Yardstick across server configurations: how does real (playable)
-    capacity scale with nominal (soft) capacity?"""
+    capacity scale with nominal (soft) capacity? Each server's hard cap
+    is 1.5 times its soft one."""
     rows = []
     for soft in soft_capacities:
+        hard = int(soft * 1.5)
         zone = Zone(f"server-{soft}", soft_capacity=soft,
-                    hard_capacity=int(soft * hard_factor))
-        report = run_yardstick(zone, max_bots=int(soft * hard_factor) + 10,
-                               playability_floor_hz=playability_floor_hz)
+                    hard_capacity=hard)
+        report = run_yardstick(zone, max_bots=hard + 10)
         rows.append({
             "nominal_capacity": float(soft),
             "max_playable": float(report.max_playable_population),

@@ -138,10 +138,11 @@ def diff_documents(expected: dict, actual: dict) -> list[str]:
     return diffs
 
 
-def clip_diffs(diffs: list[str], limit: int = _MAX_DIFF_LINES) -> list[str]:
-    if len(diffs) <= limit:
+def clip_diffs(diffs: list[str]) -> list[str]:
+    if len(diffs) <= _MAX_DIFF_LINES:
         return diffs
-    return diffs[:limit] + [f"... and {len(diffs) - limit} more differences"]
+    return diffs[:_MAX_DIFF_LINES] + [
+        f"... and {len(diffs) - _MAX_DIFF_LINES} more differences"]
 
 
 def check(name: str, directory: Optional[Path] = None,

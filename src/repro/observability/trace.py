@@ -138,18 +138,17 @@ class Tracer:
         return self._env.now
 
     # -- span lifecycle ----------------------------------------------------
-    def start_span(self, name: str, domain: Optional[str] = None,
-                   parent: Optional[Span] = None,
+    def start_span(self, name: str, parent: Optional[Span] = None,
                    t: Optional[float] = None, **tags: Any) -> Span:
         """Open a span at the current (or given) time.
 
-        ``domain`` defaults to the first dotted component of ``name``
+        The span's domain is the first dotted component of ``name``
         (``"serverless.invoke"`` -> ``"serverless"``).
         """
         span = Span(
             span_id=next(self._ids),
             name=name,
-            domain=domain if domain is not None else name.split(".", 1)[0],
+            domain=name.split(".", 1)[0],
             t_start=self.now(t),
             parent_id=parent.span_id if parent is not None else None,
             tags=dict(tags),
@@ -193,11 +192,10 @@ class Tracer:
                                       key=lambda s: s.span_id)],
         }
 
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """Deterministic JSON: sorted keys, stable separators, no locale."""
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent,
-                          separators=(",", ": ") if indent else (",", ":"),
-                          ensure_ascii=True)
+    def to_json(self) -> str:
+        """Deterministic JSON: sorted keys, compact separators, no locale."""
+        return json.dumps(self.to_dict(), sort_keys=True,
+                          separators=(",", ":"), ensure_ascii=True)
 
     def digest(self) -> str:
         """SHA-256 content digest of the canonical JSON serialization."""

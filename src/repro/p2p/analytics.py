@@ -138,14 +138,13 @@ def detect_flashcrowds(arrival_times: Sequence[float],
     return episodes
 
 
-def giant_swarms(swarm_sizes: Sequence[int],
-                 giant_threshold_quantile: float = 0.99
-                 ) -> dict[str, float]:
-    """Heavy-tail statistics of swarm sizes ([63]'s giant swarms)."""
+def giant_swarms(swarm_sizes: Sequence[int]) -> dict[str, float]:
+    """Heavy-tail statistics of swarm sizes ([63]'s giant swarms: the top
+    1% by size)."""
     sizes = np.asarray(swarm_sizes, dtype=float)
     if sizes.size == 0:
         raise ValueError("no swarm sizes")
-    threshold = float(np.quantile(sizes, giant_threshold_quantile))
+    threshold = float(np.quantile(sizes, 0.99))
     giants = sizes[sizes >= threshold]
     return {
         "n_swarms": int(sizes.size),

@@ -30,8 +30,7 @@ class BTWorldMonitor:
                  interval_s: float = 300.0,
                  coverage: float = 1.0,
                  rng: Optional[np.random.Generator] = None,
-                 filter_spam: bool = False,
-                 max_samples: int = 100_000):
+                 filter_spam: bool = False):
         if not 0 < coverage <= 1:
             raise ValueError("coverage must be in (0, 1]")
         if interval_s <= 0:
@@ -49,7 +48,7 @@ class BTWorldMonitor:
             self.observed = all_trackers[:n_observed]
         self.samples: list[TrackerStats] = []
         #: Retention cap: beyond this the monitor keeps a sliding window.
-        self.max_samples = int(max_samples)
+        self.max_samples = 100_000
         self.archive = TraceArchive(
             name="btworld", domain="p2p", instrument="btworld-monitor",
             provenance=f"interval={interval_s}s coverage={coverage}")

@@ -266,10 +266,9 @@ class Swarm:
 def run_swarm(config: SwarmConfig, tracker: Tracker,
               rng: np.random.Generator,
               arrivals: Optional[ArrivalProcess] = None,
-              env: Optional[Environment] = None,
               tracer=None, registry=None) -> SwarmResult:
     """Convenience wrapper: build, run to the horizon, return the result."""
-    env = env or Environment()
+    env = Environment()
     swarm = Swarm(env, config, tracker, rng, arrivals,
                   tracer=tracer, registry=registry)
     env.run(until=config.horizon_s)

@@ -9,6 +9,8 @@ import numpy as np
 
 from repro.p2p.peer import Peer
 
+#: Most peers one announce returns.
+MAX_PEERS = 50
 
 @dataclass
 class TrackerStats:
@@ -45,19 +47,18 @@ class Tracker:
         return sorted(self._swarms)
 
     def announce(self, torrent_id: str, peer: Peer,
-                 rng: Optional[np.random.Generator] = None,
-                 max_peers: int = 50) -> list[Peer]:
-        """Register the peer; return up to ``max_peers`` other peers."""
+                 rng: Optional[np.random.Generator] = None) -> list[Peer]:
+        """Register the peer; return up to :data:`MAX_PEERS` other peers."""
         self.announce_count += 1
         swarm = self._swarms.setdefault(torrent_id, {})
         swarm[peer.peer_id] = peer
         others = [p for pid, p in swarm.items()
                   if pid != peer.peer_id and p.active]
-        if len(others) > max_peers:
+        if len(others) > MAX_PEERS:
             if rng is None:
-                others = others[:max_peers]
+                others = others[:MAX_PEERS]
             else:
-                idx = rng.choice(len(others), size=max_peers, replace=False)
+                idx = rng.choice(len(others), size=MAX_PEERS, replace=False)
                 others = [others[int(i)] for i in idx]
         return others
 
@@ -102,8 +103,7 @@ class SpamTracker(Tracker):
                             leechers=fake_total - fake_seeders)
 
     def announce(self, torrent_id: str, peer: Peer,
-                 rng: Optional[np.random.Generator] = None,
-                 max_peers: int = 50) -> list[Peer]:
+                 rng: Optional[np.random.Generator] = None) -> list[Peer]:
         """Returns an empty (useless) peer list; still logs the announce —
         the tracking part of the spam."""
         self.announce_count += 1

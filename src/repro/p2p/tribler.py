@@ -17,7 +17,8 @@ import networkx as nx
 import numpy as np
 
 from repro.p2p.peer import PEER_CLASSES, PeerClass
-from repro.p2p.twofast import collector_rate_mbps
+from repro.p2p.twofast import (RECIPROCITY, SEED_ALTRUISM_KBPS,
+                               collector_rate_mbps)
 
 
 @dataclass
@@ -70,9 +71,7 @@ class SocialOverlay:
         return available[:max_helpers]
 
     def download_rate_mbps(self, collector: str,
-                           max_helpers: int = 8,
-                           reciprocity: float = 1.0,
-                           seed_altruism_kbps: float = 32.0) -> float:
+                           max_helpers: int = 8) -> float:
         """The collector's achievable rate with recruited friends.
 
         Helpers contribute their own upload capacity (they may differ in
@@ -82,7 +81,7 @@ class SocialOverlay:
         helpers = self.recruit_helpers(collector, max_helpers)
         group_upload = member.peer_class.upload_kbps + sum(
             h.peer_class.upload_kbps for h in helpers)
-        earned = group_upload * reciprocity + seed_altruism_kbps
+        earned = group_upload * RECIPROCITY + SEED_ALTRUISM_KBPS
         return min(earned, member.peer_class.download_kbps) / 1024.0
 
     def social_speedup(self, collector: str,
@@ -95,23 +94,23 @@ class SocialOverlay:
 
 def social_circle_study(rng: np.random.Generator,
                         circle_sizes: Sequence[int] = (0, 2, 4, 8, 16),
-                        peer_class_name: str = "adsl",
                         online_fraction: float = 0.6,
                         busy_fraction: float = 0.3
                         ) -> list[dict[str, float]]:
     """The [69] effect: speedup vs social-circle size.
 
-    Builds, per circle size, a star of friends around one collector with
-    the given availability, and measures the achieved speedup.
+    Builds, per circle size, a star of ADSL friends around one ADSL
+    collector with the given availability, and measures the achieved
+    speedup.
     """
     rows = []
     for size in circle_sizes:
         overlay = SocialOverlay()
         overlay.add_member(SocialPeer(
-            "collector", PEER_CLASSES[peer_class_name]))
+            "collector", PEER_CLASSES["adsl"]))
         for i in range(size):
             overlay.add_member(SocialPeer(
-                f"friend-{i:02d}", PEER_CLASSES[peer_class_name],
+                f"friend-{i:02d}", PEER_CLASSES["adsl"],
                 online=bool(rng.random() < online_fraction),
                 busy=bool(rng.random() < busy_fraction)))
             overlay.befriend("collector", f"friend-{i:02d}")

@@ -19,6 +19,11 @@ from dataclasses import dataclass
 from repro.p2p.peer import PEER_CLASSES, PeerClass
 from repro.sim import Environment
 
+#: Upload earned back per unit of upload given (tit-for-tat), the altruistic
+#: upload seeds give every collector, and the simulation round.
+RECIPROCITY = 1.0
+SEED_ALTRUISM_KBPS = 32.0
+ROUND_S = 10.0
 
 @dataclass
 class TwoFastResult:
@@ -48,9 +53,7 @@ class TwoFastResult:
         return len(self.download_times) - 1
 
 
-def collector_rate_mbps(peer_class: PeerClass, helpers: int,
-                        reciprocity: float = 1.0,
-                        seed_altruism_kbps: float = 32.0) -> float:
+def collector_rate_mbps(peer_class: PeerClass, helpers: int) -> float:
     """Achievable download rate of a collector with ``helpers`` helpers.
 
     Earned rate = group upload × reciprocity + altruism, capped by the
@@ -59,16 +62,13 @@ def collector_rate_mbps(peer_class: PeerClass, helpers: int,
     if helpers < 0:
         raise ValueError("helpers must be >= 0")
     group_upload_kbps = peer_class.upload_kbps * (1 + helpers)
-    earned_kbps = group_upload_kbps * reciprocity + seed_altruism_kbps
+    earned_kbps = group_upload_kbps * RECIPROCITY + SEED_ALTRUISM_KBPS
     return min(earned_kbps, peer_class.download_kbps) / 1024.0
 
 
 def run_2fast_experiment(content_size_mb: float = 700.0,
                          peer_class_name: str = "adsl",
-                         max_helpers: int = 10,
-                         reciprocity: float = 1.0,
-                         seed_altruism_kbps: float = 32.0,
-                         round_s: float = 10.0) -> TwoFastResult:
+                         max_helpers: int = 10) -> TwoFastResult:
     """Simulate collector downloads with 0..max_helpers helpers.
 
     Each configuration runs as a DES process accumulating content at the
@@ -80,15 +80,14 @@ def run_2fast_experiment(content_size_mb: float = 700.0,
     times: list[float] = []
     for helpers in range(max_helpers + 1):
         env = Environment()
-        rate = collector_rate_mbps(peer_class, helpers, reciprocity,
-                                   seed_altruism_kbps)
+        rate = collector_rate_mbps(peer_class, helpers)
         done = {}
 
         def download(env, rate=rate, done=done):
             fetched = 0.0
             while fetched < content_size_mb:
-                yield env.timeout(round_s)
-                fetched += rate * round_s
+                yield env.timeout(ROUND_S)
+                fetched += rate * ROUND_S
             done["time"] = env.now
 
         env.process(download(env))

@@ -89,10 +89,10 @@ class Journal:
         """Cost of replaying the durable prefix (bounded by truncation)."""
         return self.replay_cost_per_record_s * len(self.durable_records(now))
 
-    def replay(self, now: Optional[float] = None) -> list[JournalRecord]:
-        """The durable prefix, in append order; counts the replay."""
+    def replay(self) -> list[JournalRecord]:
+        """The durable prefix now, in append order; counts the replay."""
         self.monitor.count(f"{self.name}_replays")
-        return self.durable_records(now)
+        return self.durable_records()
 
     def truncate(self, upto_seq: int) -> int:
         """Drop records with ``seq <= upto_seq`` (covered by a checkpoint).

@@ -46,7 +46,6 @@ class ReplicatedControlPlane:
                  nodes: Iterable[str], streams: RandomStreams, *,
                  lease_ttl_s: float = 4.0,
                  renew_interval_s: float = 1.0,
-                 ship_interval_s: float = 0.5,
                  takeover_cost_s: float = 0.5,
                  detector: Optional[PhiAccrualDetector] = None,
                  monitor: Optional[Monitor] = None,
@@ -91,7 +90,6 @@ class ReplicatedControlPlane:
         self.replicator = JournalReplicator(
             env, network, scheduler.journal,
             leader=self.nodes[0], standbys=self.nodes[1:],
-            ship_interval_s=ship_interval_s,
             on_apply=self._apply, monitor=self.monitor)
         self.gate.advance(self.election.term_of(self.nodes[0]))
 

@@ -39,7 +39,7 @@ class TokenBucketAdmitter:
     """
 
     def __init__(self, env: Environment, rate_per_s: float,
-                 burst: float = 1.0, name: str = "admitter"):
+                 burst: float = 1.0):
         if rate_per_s <= 0:
             raise ValueError("rate_per_s must be positive")
         if burst < 1.0:
@@ -47,7 +47,7 @@ class TokenBucketAdmitter:
         self.env = env
         self.rate_per_s = rate_per_s
         self.burst = float(burst)
-        self.name = name
+        self.name = "admitter"
         self._tokens = float(burst)
         self._refilled_at = env.now
         self.admitted = 0
@@ -96,13 +96,13 @@ class CoDelShedder:
     """
 
     def __init__(self, env: Environment, target_s: float = 0.05,
-                 interval_s: float = 1.0, name: str = "codel"):
+                 interval_s: float = 1.0):
         if target_s <= 0 or interval_s <= 0:
             raise ValueError("target_s and interval_s must be positive")
         self.env = env
         self.target_s = target_s
         self.interval_s = interval_s
-        self.name = name
+        self.name = "codel"
         #: Time the delay first exceeded target (None = below target).
         self._above_since: Optional[float] = None
         self._dropping = False

@@ -58,8 +58,7 @@ class BrownoutController:
     def __init__(self, degraded_enter: float = 0.8,
                  degraded_exit: float = 0.6,
                  critical_enter: float = 0.95,
-                 critical_exit: float = 0.8,
-                 now: float = 0.0, name: str = "brownout"):
+                 critical_exit: float = 0.8):
         if not degraded_exit < degraded_enter:
             raise ValueError("degraded_exit must be < degraded_enter")
         if not critical_exit < critical_enter:
@@ -70,13 +69,13 @@ class BrownoutController:
         self.degraded_exit = degraded_exit
         self.critical_enter = critical_enter
         self.critical_exit = critical_exit
-        self.name = name
+        self.name = "brownout"
         self.mode = ServiceMode.NORMAL
         self.transitions = 0
         self.time_in_mode: dict[ServiceMode, float] = {
             mode: 0.0 for mode in ServiceMode}
-        self._mode_since = now
-        self._last_now = now
+        self._mode_since = 0.0
+        self._last_now = 0.0
         self._hooks: dict[ServiceMode, list[TransitionHook]] = {
             mode: [] for mode in ServiceMode}
 

@@ -61,6 +61,9 @@ def _cluster_gdc() -> Cluster:
     return Cluster("gdc", machines)
 
 
+#: The policies a Table 9 portfolio selects among.
+TABLE9_POLICIES = ("fcfs", "sjf", "ljf", "backfill", "fair-share")
+
 ENVIRONMENTS: dict[str, Callable[[], Cluster]] = {
     "CL": _cluster_cl,
     "CD": _cluster_cd,
@@ -142,13 +145,12 @@ def rescale_to_load(jobs, cluster: Cluster, target_load: float = 2.5):
 
 
 def _fresh_jobs(domain: str, seed: int, n_jobs: int,
-                cluster: Optional[Cluster] = None,
-                target_load: float = 2.5):
+                cluster: Optional[Cluster] = None):
     rng = RandomStreams(seed).get(f"wl:{domain}")
     jobs = generate_domain_workload(rng, domain, n_jobs=n_jobs,
                                     horizon_s=90 * 86400)
     if cluster is not None:
-        rescale_to_load(jobs, cluster, target_load)
+        rescale_to_load(jobs, cluster)
     return jobs
 
 
@@ -166,8 +168,7 @@ def run_static(domain: str, environment: str, policy_name: str,
 
 
 def run_portfolio(domain: str, environment: str,
-                  policy_names: Sequence[str] = ("fcfs", "sjf", "ljf",
-                                                 "backfill", "fair-share"),
+                  policy_names: Sequence[str] = TABLE9_POLICIES,
                   seed: int = 0, n_jobs: int = 30,
                   config: Optional[PortfolioConfig] = None
                   ) -> tuple[ScheduleMetrics, PortfolioStats]:
@@ -186,17 +187,15 @@ def run_portfolio(domain: str, environment: str,
 
 
 def run_table9_cell(domain: str, environment: str, seed: int = 0,
-                    n_jobs: int = 30,
-                    policy_names: Sequence[str] = ("fcfs", "sjf", "ljf",
-                                                   "backfill", "fair-share"),
-                    config: Optional[PortfolioConfig] = None) -> GridCell:
-    """Portfolio vs. every static policy on identical workload copies."""
+                    n_jobs: int = 30) -> GridCell:
+    """The portfolio of :data:`TABLE9_POLICIES` vs. each of them alone, on
+    identical workload copies."""
     static = {}
-    for name in policy_names:
+    for name in TABLE9_POLICIES:
         static[name] = run_static(domain, environment, name, seed,
                                   n_jobs).objective()
-    metrics, stats = run_portfolio(domain, environment, policy_names,
-                                   seed, n_jobs, config)
+    metrics, stats = run_portfolio(domain, environment, TABLE9_POLICIES,
+                                   seed, n_jobs)
     return GridCell(workload=domain, environment=environment,
                     static_results=static,
                     portfolio_result=metrics.objective(),

@@ -23,13 +23,14 @@ from repro.scheduling.policies import Policy
 from repro.scheduling.simulator import SLOWDOWN_BOUND_S, ClusterSimulator
 from repro.sim import Environment, RandomStreams
 
+#: Queue lengths at which the coarse system states begin.
+QUEUE_LEVELS = (0, 4, 16, 64)
 
-def queue_pressure_state(simulator: ClusterSimulator,
-                         levels: Sequence[int] = (0, 4, 16, 64)) -> int:
-    """Coarse system state: index of the queue-length bucket."""
+def queue_pressure_state(simulator: ClusterSimulator) -> int:
+    """Coarse system state: index of the :data:`QUEUE_LEVELS` bucket."""
     queue = len(simulator.ready)
     state = 0
-    for idx, threshold in enumerate(levels):
+    for idx, threshold in enumerate(QUEUE_LEVELS):
         if queue >= threshold:
             state = idx
     return state
@@ -60,7 +61,6 @@ class LearningPortfolioScheduler:
                  epoch_s: float = 300.0,
                  epsilon: float = 0.15,
                  learning_rate: float = 0.3,
-                 n_states: int = 4,
                  rng: Optional[np.random.Generator] = None):
         if not portfolio:
             raise ValueError("portfolio must not be empty")
@@ -80,7 +80,7 @@ class LearningPortfolioScheduler:
                     else RandomStreams(0).get("scheduling.bandit"))
         self.q: dict[tuple[int, str], float] = {
             (state, policy.name): 0.0
-            for state in range(n_states) for policy in portfolio
+            for state in range(len(QUEUE_LEVELS)) for policy in portfolio
         }
         self.stats = BanditStats()
         self._finished_seen = 0

@@ -811,15 +811,10 @@ class ClusterSimulator:
 
 
 def simulate_schedule(jobs: Sequence[Job], cluster: Cluster,
-                      policy: Policy,
-                      horizon_s: Optional[float] = None,
-                      failure_mode: str = "requeue") -> ScheduleMetrics:
+                      policy: Policy) -> ScheduleMetrics:
     """Run one complete schedule and return its metrics."""
     env = Environment()
-    sim = ClusterSimulator(env, cluster, policy, failure_mode=failure_mode)
+    sim = ClusterSimulator(env, cluster, policy)
     sim.submit_jobs(list(jobs))
-    if horizon_s is not None:
-        env.run(until=horizon_s)
-    else:
-        env.run()
+    env.run()
     return sim.metrics()

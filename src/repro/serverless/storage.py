@@ -106,19 +106,18 @@ def allocate_single_tier(job: AnalyticsJob, tier_name: str) -> Allocation:
     return Allocation(job=job, per_tier_gb={tier_name: gb})
 
 
-def allocate_pocket(job: AnalyticsJob,
-                    tier_order: Sequence[str] = ("hdd", "nvme", "dram")
-                    ) -> Allocation:
+def allocate_pocket(job: AnalyticsJob) -> Allocation:
     """Pocket's right-sizing: fill capacity on the cheapest tier, then
     top up *throughput* with the smallest possible slice of faster tiers.
 
-    Greedy over tiers from cheap to fast: put all capacity on the
+    Greedy over tiers from cheap to fast (hdd, nvme, dram): put all
+    capacity on the
     cheapest tier whose throughput contribution helps; if aggregate
     throughput still falls short, shift capacity to the next-faster tier
     just enough to close the gap.
     """
     # Start with everything on the cheapest tier.
-    tiers = [TIERS[name] for name in tier_order]
+    tiers = [TIERS[name] for name in ("hdd", "nvme", "dram")]
     per_tier = {tiers[0].name: max(job.data_gb, tiers[0].min_alloc_gb)}
 
     def throughput():
@@ -149,7 +148,7 @@ def allocate_pocket(job: AnalyticsJob,
     allocation = Allocation(job=job, per_tier_gb=per_tier)
     if not allocation.meets_requirements:
         # Last resort: size the fastest tier for the full requirement.
-        return allocate_single_tier(job, tier_order[-1])
+        return allocate_single_tier(job, tiers[-1].name)
     return allocation
 
 

@@ -49,19 +49,19 @@ from repro.sim.events import (
     _retire_entry,
 )
 
-#: Default epsilon for :func:`time_eq`: generous for second-scale sim time,
+#: Relative epsilon of :func:`time_eq`: generous for second-scale sim time,
 #: tight enough to distinguish distinct scheduled instants.
 TIME_EPSILON = 1e-9
 
 
-def time_eq(a: float, b: float, eps: float = TIME_EPSILON) -> bool:
+def time_eq(a: float, b: float) -> bool:
     """Whether two sim timestamps are equal up to accumulated float error.
 
     Sim time is a float advanced by summing delays, so exact ``==`` on it
     is fragile (simlint rule SL006). The tolerance scales with magnitude:
-    ``|a - b| <= eps * max(1, |a|, |b|)``.
+    ``|a - b| <= TIME_EPSILON * max(1, |a|, |b|)``.
     """
-    return abs(a - b) <= eps * max(1.0, abs(a), abs(b))
+    return abs(a - b) <= TIME_EPSILON * max(1.0, abs(a), abs(b))
 
 
 class StopSimulation(Exception):

@@ -141,7 +141,7 @@ class Network:
 
     # -- transmission ------------------------------------------------------
     def send(self, src: str, dst: str, deliver: Callable[[], Any],
-             size_mb: float = 0.0, kind: str = "message") -> str:
+             kind: str = "message") -> str:
         """Attempt one message; returns its immediate verdict.
 
         - ``"blocked"`` — a partition refused it; ``deliver`` never runs.

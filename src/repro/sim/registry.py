@@ -104,9 +104,8 @@ class MetricsRegistry:
         return metric
 
     # -- recording shorthands ----------------------------------------------
-    def record(self, name: str, value: float, time: float,
-               labels: Optional[dict] = None) -> None:
-        self.series(name, labels).record(time, value)
+    def record(self, name: str, value: float, time: float) -> None:
+        self.series(name).record(time, value)
 
     def incr(self, name: str, amount: int = 1, key: Any = None,
              labels: Optional[dict] = None) -> None:

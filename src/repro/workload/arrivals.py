@@ -24,16 +24,14 @@ class ArrivalProcess:
 class PoissonArrivals(ArrivalProcess):
     """Homogeneous Poisson process with the given rate (arrivals/second)."""
 
-    def __init__(self, rate: float, rng: np.random.Generator,
-                 start: float = 0.0):
+    def __init__(self, rate: float, rng: np.random.Generator):
         if rate <= 0:
             raise ValueError("rate must be positive")
         self.rate = rate
         self.rng = rng
-        self.start = start
 
     def times(self, horizon: float) -> Iterator[float]:
-        t = self.start
+        t = 0.0
         while True:
             t += float(self.rng.exponential(1.0 / self.rate))
             if t >= horizon:
@@ -51,7 +49,7 @@ class DiurnalArrivals(ArrivalProcess):
 
     def __init__(self, base_rate: float, rng: np.random.Generator,
                  amplitude: float = 0.8, period_s: float = 86400.0,
-                 phase: float = 0.0, start: float = 0.0):
+                 start: float = 0.0):
         if base_rate <= 0:
             raise ValueError("base_rate must be positive")
         if not 0 <= amplitude <= 1:
@@ -59,13 +57,12 @@ class DiurnalArrivals(ArrivalProcess):
         self.base_rate = base_rate
         self.amplitude = amplitude
         self.period_s = period_s
-        self.phase = phase
         self.rng = rng
         self.start = start
 
     def rate_at(self, t: float) -> float:
         modulation = 1.0 + self.amplitude * math.sin(
-            2 * math.pi * t / self.period_s + self.phase)
+            2 * math.pi * t / self.period_s)
         return max(self.base_rate * modulation, self.base_rate * 1e-3)
 
     def times(self, horizon: float) -> Iterator[float]:
@@ -92,8 +89,7 @@ class FlashcrowdArrivals(ArrivalProcess):
     def __init__(self, base_rate: float, rng: np.random.Generator,
                  burst_times: Sequence[float] = (),
                  burst_factor: float = 50.0,
-                 burst_decay_s: float = 1800.0,
-                 start: float = 0.0):
+                 burst_decay_s: float = 1800.0):
         if base_rate <= 0:
             raise ValueError("base_rate must be positive")
         if burst_factor < 1:
@@ -103,7 +99,6 @@ class FlashcrowdArrivals(ArrivalProcess):
         self.burst_times = sorted(burst_times)
         self.burst_factor = burst_factor
         self.burst_decay_s = burst_decay_s
-        self.start = start
 
     def rate_at(self, t: float) -> float:
         rate = self.base_rate
@@ -117,7 +112,7 @@ class FlashcrowdArrivals(ArrivalProcess):
     def times(self, horizon: float) -> Iterator[float]:
         max_rate = self.base_rate * self.burst_factor * (
             1 + max(0, len(self.burst_times) - 1) * 0.5)
-        t = self.start
+        t = 0.0
         while True:
             t += float(self.rng.exponential(1.0 / max_rate))
             if t >= horizon:
@@ -125,6 +120,6 @@ class FlashcrowdArrivals(ArrivalProcess):
             if self.rng.random() <= self.rate_at(t) / max_rate:
                 yield t
 
-    def is_flashcrowd_at(self, t: float, threshold: float = 5.0) -> bool:
-        """Flashcrowd detector: instantaneous rate above threshold×base."""
-        return self.rate_at(t) >= threshold * self.base_rate
+    def is_flashcrowd_at(self, t: float) -> bool:
+        """Flashcrowd detector: instantaneous rate at least 5×base."""
+        return self.rate_at(t) >= 5.0 * self.base_rate

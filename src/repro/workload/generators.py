@@ -10,7 +10,6 @@ signature the corresponding study describes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -131,10 +130,9 @@ def generate_workflow(rng: np.random.Generator,
 
 
 def generate_workflow_workload(rng: np.random.Generator, n_workflows: int,
-                               spec: Optional[WorkloadSpec] = None,
                                horizon_s: float = 86400.0) -> list[Workflow]:
-    """A stream of workflows with Poisson arrivals."""
-    spec = spec or WORKLOAD_DOMAINS["scientific"]
+    """A stream of scientific-domain workflows with Poisson arrivals."""
+    spec = WORKLOAD_DOMAINS["scientific"]
     arrivals = PoissonArrivals(spec.arrival_rate, rng)
     workflows = []
     shapes = ["random", "chain", "fork-join"]

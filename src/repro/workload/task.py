@@ -116,11 +116,9 @@ class Workflow:
     def __init__(self, tasks: Iterable[Task],
                  edges: Iterable[tuple[int, int]],
                  submit_time: float = 0.0,
-                 name: str = "wf",
-                 deadline: Optional[float] = None):
+                 name: str = "wf"):
         self.name = name
         self.submit_time = submit_time
-        self.deadline = deadline
         self.job_id = next(_job_ids)
         self.graph = nx.DiGraph()
         self._tasks: dict[int, Task] = {}

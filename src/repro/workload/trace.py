@@ -11,7 +11,7 @@ is sharing workload and operational traces in a FAIR and/or FOAD archive",
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator
 
 
 @dataclass
@@ -35,13 +35,12 @@ class TraceArchive:
 
     def __init__(self, name: str, domain: str,
                  instrument: str = "simulation",
-                 provenance: str = "",
-                 metadata: Optional[dict[str, Any]] = None):
+                 provenance: str = ""):
         self.name = name
         self.domain = domain
         self.instrument = instrument
         self.provenance = provenance
-        self.metadata = dict(metadata or {})
+        self.metadata: dict[str, Any] = {}
         self.records: list[TraceRecord] = []
 
     def __len__(self) -> int:

@@ -133,10 +133,11 @@ class TestOracleStack:
             OracleStack(extra_world_kwargs={name: 5})
 
     def test_campaign_rejects_schedule_owned_extra_kwargs(self):
-        config = CampaignConfig(root_seed=0, n_schedules=2,
-                                extra_world_kwargs={"sim_budget_s": 50.0})
+        # The config itself rejects them, before any schedule runs.
         with pytest.raises(ValueError, match="sim_budget_s"):
-            run_campaign(config)
+            run_campaign(CampaignConfig(
+                root_seed=0, n_schedules=2,
+                extra_world_kwargs={"sim_budget_s": 50.0}))
 
     def test_seeded_fencing_bug_fails_failover_oracles(self):
         schedule = FaultSchedule(

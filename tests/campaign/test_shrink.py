@@ -27,6 +27,14 @@ BUGGY_CONFIG = dict(root_seed=2, n_schedules=10, workers=1,
                     extra_world_kwargs=BUGGY_KWARGS)
 
 
+#: A well-formed repro file whose world kwarg the partition world lacks.
+UNKNOWN_KWARG_REPRO = json.dumps(repro_dict(
+    FaultSchedule(world="partition", seed=3, sim_budget_s=100.0,
+                  episodes=(Episode(kind="partition", start_s=30.0,
+                                    end_s=60.0),)),
+    ["run_completes"], extra_world_kwargs={"bogus": 1}))
+
+
 def failing_schedule():
     schedules = generate_schedules(CampaignConfig(**BUGGY_CONFIG))
     stack = OracleStack(double_run=False, extra_world_kwargs=BUGGY_KWARGS)
@@ -151,3 +159,35 @@ class TestCli:
             "run", "--seed", "0", "--schedules", "2",
             "--worlds", "partition", "--no-double-run"])
         assert code == 0
+
+    @pytest.mark.parametrize("pair,message", [
+        ("fence_on_failovr=false",
+         "failover world takes no keyword argument ['fence_on_failovr']"),
+        ("seed=3", "may not set ['seed']"),
+    ])
+    def test_bad_world_kwarg_exits_two_before_any_run(self, pair, message,
+                                                      capsys):
+        code = campaign_main(["run", "--schedules", "1", "--worlds",
+                              "failover", "--world-kwarg", pair])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+        assert out == ""  # no schedule ran, so no summary was printed
+
+    @pytest.mark.parametrize("command", ["repro", "shrink"])
+    @pytest.mark.parametrize("content,message", [
+        (None, "No such file"),
+        ("{", "Expecting property name"),
+        ('{"format": "other"}', "not a campaign repro file"),
+        (UNKNOWN_KWARG_REPRO, "takes no keyword argument ['bogus']"),
+    ])
+    def test_bad_repro_file_exits_two(self, command, content, message,
+                                      tmp_path, capsys):
+        path = tmp_path / "repro.json"
+        if content is not None:
+            path.write_text(content)
+        argv = (["repro", str(path)] if command == "repro"
+                else ["shrink", "--input", str(path)])
+        assert campaign_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and message in err
